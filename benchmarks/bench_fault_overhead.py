@@ -1,12 +1,14 @@
 """Supervision-overhead benchmark: what fault tolerance costs a clean run.
 
-The supervision layer (:mod:`repro.gpusim.parallel`) adds heartbeat messages,
-deadline bookkeeping and per-shard state tracking to every sharded launch.
+The pool's supervisor (:class:`repro.gpusim.pool.PoolLaunch`, policy in
+:mod:`repro.gpusim.parallel`) adds heartbeat messages, deadline bookkeeping
+and per-shard state tracking to every pooled launch.
 On a *clean* run -- no faults, no retries -- all of that must be noise:
 the acceptance bar is **< 5% throughput overhead** versus the same launch
 supervised with the deadline disabled (``shard_timeout=0``, which turns off
 heartbeats and deadline arithmetic entirely and is therefore the
-pre-supervision baseline shape: fork, simulate, one result message, merge).
+pre-supervision baseline shape: dispatch, simulate, one result message,
+merge).
 
 Also measured (recorded, never asserted -- it is dominated by the backoff
 policy, not by throughput): the wall-clock cost of recovering from one
@@ -45,7 +47,7 @@ def _problem(full: bool) -> GemmProblem:
 
 
 def _measure(problem: GemmProblem, device: Device, rounds: int = ROUNDS) -> dict:
-    """Best-of-N timing of one sharded launch (the usual benchmark hygiene:
+    """Best-of-N timing of one pooled launch (the usual benchmark hygiene:
     the minimum is the least-noise estimate of the true cost)."""
     run_gemm(device, problem, tawa_gemm_options())  # warm compile + plan caches
     best, result, output = None, None, None
@@ -65,7 +67,7 @@ def _measure(problem: GemmProblem, device: Device, rounds: int = ROUNDS) -> dict
     }
 
 
-@pytest.mark.skipif(not fork_available(), reason="sharded execution requires fork()")
+@pytest.mark.skipif(not fork_available(), reason="the worker pool requires fork()")
 def test_fault_supervision_overhead(benchmark):
     problem = _problem(full_sweep_requested())
 
@@ -74,7 +76,7 @@ def test_fault_supervision_overhead(benchmark):
     def run_curves():
         rows.clear()
         # Baseline: supervision structurally disabled -- no heartbeats, no
-        # deadlines -- i.e. the pre-supervision sharded hot path.
+        # deadlines -- i.e. the pre-supervision pooled hot path.
         rows["baseline"] = _measure(
             problem, Device(mode="functional", workers=WORKERS, shard_timeout=0))
         # Supervised: the default production policy.
@@ -87,7 +89,7 @@ def test_fault_supervision_overhead(benchmark):
     baseline, supervised = rows["baseline"], rows["supervised"]
     overhead_pct = (supervised["seconds"] / baseline["seconds"] - 1.0) * 100.0
 
-    # Recovery cost: one injected worker kill, recovered by a single re-fork.
+    # Recovery cost: one injected worker kill, recovered by one respawn.
     with faults.inject_faults("kill:worker=1,cta=0"):
         start = time.perf_counter()
         result, output = run_gemm(
@@ -136,6 +138,6 @@ def test_fault_supervision_overhead(benchmark):
         )
     # Even on noisy shared runners supervision may never cost 2x.
     assert supervised["seconds"] < 2.0 * baseline["seconds"], (
-        f"supervised sharded run took {supervised['seconds']}s vs baseline "
+        f"supervised pooled run took {supervised['seconds']}s vs baseline "
         f"{baseline['seconds']}s"
     )

@@ -1,8 +1,8 @@
 """Parallel-scaling benchmark: simulated CTAs per second vs. worker count.
 
-Runs the functional GEMM benchmark through the sharded executor
-(:mod:`repro.gpusim.parallel`) at increasing worker counts and records the
-throughput curve.  Two properties are tracked:
+Runs the functional GEMM benchmark through the persistent worker pool
+(``Device(workers=N)``, :mod:`repro.gpusim.pool`) at increasing worker
+counts and records the throughput curve.  Two properties are tracked:
 
 * **Correctness while scaling** -- every worker count must produce exactly
   the serial result (cycles and outputs); this is asserted here on top of
@@ -12,7 +12,7 @@ throughput curve.  Two properties are tracked:
   the BENCH trajectory records the scaling curve.  The ``>= 2x at 4
   workers`` expectation is asserted only when the machine actually has >= 4
   CPUs available to the process; on smaller machines (e.g. single-core CI
-  containers, where any multi-process run can only lose to fork/IPC
+  containers, where any multi-process run can only lose to dispatch/IPC
   overhead) the curve is still recorded, and the overhead is asserted to be
   bounded instead.
 
@@ -70,7 +70,7 @@ def _measure(problem: GemmProblem, workers: int) -> dict:
     }
 
 
-@pytest.mark.skipif(not fork_available(), reason="sharded execution requires fork()")
+@pytest.mark.skipif(not fork_available(), reason="the worker pool requires fork()")
 def test_parallel_scaling(benchmark):
     full = full_sweep_requested()
     problem, worker_counts = _scaling_case(full)
@@ -117,8 +117,8 @@ def test_parallel_scaling(benchmark):
             f"on a {cpus}-CPU machine"
         )
     else:
-        # Without spare cores there is nothing to win, but fork + IPC + merge
-        # overhead must stay bounded: sharding may not cost more than 2x.
+        # Without spare cores there is nothing to win, but dispatch + IPC +
+        # merge overhead must stay bounded: sharding may not cost more than 2x.
         for row in rows[1:]:
             assert row["ctas_per_sec"] >= 0.5 * serial["ctas_per_sec"], (
                 f"sharding overhead too high at workers={row['workers']}: "

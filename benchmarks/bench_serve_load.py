@@ -100,7 +100,7 @@ def _phase_direct(seeds: list[int]) -> dict:
     pool -- the PR-7 sustained-throughput pool pattern, which has no dedup
     layer and therefore runs the duplicates too.
     """
-    device = Device(mode="functional", pool=2)
+    device = Device(mode="functional", workers=2)
     workload = get_workload("gemm")
     requests = seeds * DUPLICATION
 
@@ -173,7 +173,7 @@ async def _phase_serve(service: SimService, seeds: list[int]) -> dict:
 
 async def _run_serve_phases(options, seeds: list[int]) -> dict:
     policy = ServePolicy(max_batch=8, max_delay=0.002, queue_limit=256)
-    async with SimService(Device(mode="functional", pool=2),
+    async with SimService(Device(mode="functional", workers=2),
                           policy) as service:
         dedup = await _phase_dedup(service, options)
         serve = await _phase_serve(service, seeds)

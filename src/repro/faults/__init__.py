@@ -1,6 +1,6 @@
 """Deterministic, process-wide fault injection for the simulator stack.
 
-The sharded execution layer (:mod:`repro.gpusim.parallel`) recovers from
+The persistent worker pool (:mod:`repro.gpusim.pool`) recovers from
 worker death, worker hangs and corrupted pipe messages; the disk tiers
 (:mod:`repro.core.cache`, :mod:`repro.tune.store`) recover from IO failures.
 None of those paths can be tested deterministically without a way to *cause*

@@ -300,8 +300,8 @@ class FaultRegistry:
         """Fold a worker's non-firing hook-hit deltas into the ``hits`` cells.
 
         Keeps ``nth`` / ``prob`` ordinals roughly process-tree-wide under the
-        pool (a worker that died never ships its delta, mirroring the
-        fork-per-launch model's lost copy-on-write increments).
+        pool (a worker that died never ships its delta, so its hits are
+        lost).
         """
         for state, delta in zip(self._states, hits):
             if delta:

@@ -25,12 +25,12 @@ Two execution modes exist:
   steady state with wave quantization and launch overheads.  Used by the
   benchmark harnesses on paper-scale problem sizes.
 
-Functional grids can additionally be *sharded* across worker processes
-(``Device(workers=N)`` or ``REPRO_SIM_WORKERS=N``, see
-:mod:`repro.gpusim.executors.sharded`); the merged result is bit-identical to
-serial execution.  Whole sweeps of launches are submitted at once through
+Functional grids can additionally be *sharded* across the persistent worker
+pool (``Device(workers=N)`` or ``REPRO_SIM_WORKERS=N``, see
+:mod:`repro.gpusim.pool`); the merged result is bit-identical to serial
+execution.  Whole sweeps of launches are submitted at once through
 :meth:`Device.run_many` / :class:`LaunchBatch`, which front-loads and
-deduplicates compilation and overlaps it with sharded execution.
+deduplicates compilation and overlaps it with pooled execution.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ import numpy as np
 from repro.gpusim import executors, parallel
 from repro.gpusim import pool as pool_mod
 from repro.gpusim.config import DEFAULT_CONFIG, H100Config
-from repro.gpusim.launch import (
-    LaunchResult,
-    LaunchSpec,
-    linear_to_pid as _linear_to_pid,  # noqa: F401 - re-exported for tests
-    normalize_grid as _normalize_grid,  # noqa: F401 - re-exported for tests
-)
+from repro.gpusim.launch import LaunchResult, LaunchSpec
 from repro.gpusim.memory import GlobalBuffer, Pointer, TensorDesc
 from repro.ir.types import ScalarType, Type
 
@@ -121,10 +116,11 @@ class Device:
 
     def __init__(self, config: H100Config = DEFAULT_CONFIG, mode: str = "functional",
                  max_ctas_per_sm_simulated: int = 8, collect_trace: bool = False,
-                 use_plans: bool | None = None, workers: int | None = None,
+                 use_plans: bool | None = None,
+                 workers: "int | pool_mod.WorkerPool | None" = None,
                  shard_timeout: float | None = None,
                  shard_retries: int | None = None,
-                 pool=None, codegen: bool | None = None,
+                 codegen: bool | None = None,
                  sanitize: bool | None = None):
         if mode not in ("functional", "performance"):
             raise ValueError(f"unknown device mode {mode!r}")
@@ -136,24 +132,20 @@ class Device:
         # (repro.gpusim.plan).  The IR interpreter remains available as the
         # differential-testing oracle via use_plans=False or REPRO_SIM_PLANS=0.
         self.use_plans = _env_use_plans() if use_plans is None else bool(use_plans)
-        # workers: shard functional grids across N forked processes
-        # (repro.gpusim.executors.sharded).  None consults REPRO_SIM_WORKERS;
-        # 0 or "auto" selects the CPU count.  Results are bit-identical to
-        # serial.
-        self.workers = parallel.resolve_workers(workers)
-        # Supervision policy for sharded launches (repro.gpusim.parallel):
+        # workers: shard functional grids across the process-global pool of
+        # N persistent workers (repro.gpusim.pool) when N >= 2.  None
+        # consults REPRO_SIM_WORKERS; 0 or "auto" selects the CPU count.  A
+        # WorkerPool instance binds the device to that pool.  Results are
+        # bit-identical to serial.
+        explicit_pool = workers if isinstance(workers, pool_mod.WorkerPool) else None
+        self.workers = explicit_pool or parallel.resolve_workers(workers)
+        # Supervision policy for pooled launches (repro.gpusim.parallel):
         # seconds without worker progress before a shard is declared hung
         # (None consults REPRO_SIM_SHARD_TIMEOUT; 0 disables the deadline)
-        # and re-forks per failed shard before the in-process serial fallback
+        # and retries per failed shard before the in-process serial fallback
         # (None consults REPRO_SIM_SHARD_RETRIES).
         self.shard_timeout = parallel.resolve_shard_timeout(shard_timeout)
         self.shard_retries = parallel.resolve_shard_retries(shard_retries)
-        # pool: dispatch functional launches to a persistent worker pool
-        # (repro.gpusim.pool) instead of forking per launch.  Accepts a
-        # WorkerPool, a size (>= 2), "auto", or None to consult
-        # REPRO_SIM_POOL; anything that resolves below 2 workers disables
-        # the pool.  Results are bit-identical to serial.
-        self.pool = pool_mod.resolve_pool(pool)
         # codegen: batch vectorizable launches through one generated NumPy
         # call per launch (repro.gpusim.codegen); non-vectorizable launches
         # fall back to plans/interpreter.  None consults REPRO_SIM_CODEGEN
@@ -169,33 +161,29 @@ class Device:
         # (graceful degradation), not here.
         executors.validate_engine_settings(
             collect_trace=self.collect_trace,
-            use_plans=self.use_plans if use_plans is not None else None,
-            workers=self.workers if workers is not None else None,
-            pool=self.pool if pool is not None else None,
+            pool=explicit_pool,
             codegen=self.codegen if codegen is not None else None,
             sanitize=self.sanitize if sanitize is not None else None,
         )
 
     # ------------------------------------------------------------------ executor
 
+    @property
+    def pool(self) -> "pool_mod.WorkerPool | None":
+        """The worker pool ``workers`` names (``None``: serial execution)."""
+        return pool_mod.resolve_pool(self.workers)
+
     def executor_settings(self) -> executors.ExecutorSettings:
         """The current device settings as an executor-layer value object."""
-        pool = self.pool if (self.pool is not None
-                             and not self.pool.closed) else None
-        # With a pool attached, fallback fork-per-launch sharding (arena
-        # overflow, unkeyed artifact) parallelizes at least as wide as the
-        # pool would have.
-        workers = self.workers if pool is None else max(self.workers, pool.size)
         return executors.ExecutorSettings(
             config=self.config,
             mode=self.mode,
             max_ctas_per_sm_simulated=self.max_ctas_per_sm_simulated,
             collect_trace=self.collect_trace,
             use_plans=self.use_plans,
-            workers=workers,
             shard_timeout=self.shard_timeout,
             shard_retries=self.shard_retries,
-            pool=pool,
+            pool=self.pool,
             codegen=self.codegen,
             sanitize=self.sanitize,
         )
@@ -295,18 +283,9 @@ class Device:
         """Execute a whole batch of launches; one result per spec, in order.
 
         Delegates to :func:`repro.gpusim.executors.base.run_pipelined`, which
-        overlaps compilation of launch *i+1* with (sharded) execution of
+        overlaps compilation of launch *i+1* with (pooled) execution of
         launch *i* for any executor strategy.  ``on_result(index, result)``,
         if given, fires as each launch of the batch completes (the serve
         layer's streaming-completion hook).
         """
         return executors.run_pipelined(self.executor(), specs, on_result)
-
-    # ------------------------------------------------------------------ internals
-
-    def _total_time(self, per_cta_cycles: list[float], launched_ctas: int,
-                    active_sms: int, persistent: bool, functional: bool) -> float:
-        """Delegate kept for tests: see :func:`executors.total_launch_cycles`."""
-        return executors.total_launch_cycles(self.executor_settings(),
-                                             per_cta_cycles, launched_ctas,
-                                             active_sms, persistent, functional)

@@ -393,7 +393,7 @@ class Agent:
     def __init__(self, name: str, generator: Iterator[Effect], sm: SMResources):
         # Assigned by Engine.add_agent.  Ids are engine-local (not a process
         # -wide counter) so an agent's id is identical no matter which worker
-        # process simulates its CTA -- part of the sharded-execution
+        # process simulates its CTA -- part of the pooled-execution
         # determinism guarantee, and one less piece of global mutable state.
         self.id = -1
         self.name = name

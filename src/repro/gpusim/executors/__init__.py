@@ -7,18 +7,19 @@ before any CTA runs, ``run(prepared)`` executes it.  The
 :class:`~repro.gpusim.device.Device` façade selects an executor from its
 ``(mode, workers, use_plans, collect_trace)`` settings and delegates every
 launch path -- ``launch``, ``run_many``, the figure sweeps -- through it, so
-the three execution strategies (serial interpreter/plan execution, sharded
-multi-process execution) share one launch-prep, merge and counter pipeline.
+every execution strategy shares one launch-prep, merge and counter pipeline.
 
 Strategies:
 
 * :class:`~repro.gpusim.executors.serial.SerialExecutor` -- every CTA in the
   calling process (plans or the interpreter oracle).
-* :class:`~repro.gpusim.executors.sharded.ShardedExecutor` -- functional
-  grids forked across worker processes (:mod:`repro.gpusim.parallel`), with
-  asynchronous submission so batch pipelining can overlap compilation with
-  execution.  Falls back to serial execution per launch when a launch is too
-  small (or ineligible) to shard.
+* :class:`~repro.gpusim.executors.pooled.PooledExecutor` -- functional grids
+  sharded across the persistent worker pool (:mod:`repro.gpusim.pool`),
+  with asynchronous submission so batch pipelining can overlap compilation
+  with execution.  Launches the pool cannot take run serially.
+* :class:`~repro.gpusim.executors.vectorized.CodegenExecutor` -- one
+  generated NumPy call per vectorizable launch, delegating the rest to
+  whichever strategy the other settings select.
 
 New strategies plug in by subclassing :class:`ExecutorBase` and overriding
 ``execute`` (synchronous) or ``submit`` (overlapped); the autotuner
@@ -39,7 +40,6 @@ from repro.gpusim.executors.base import (
     total_launch_cycles,
 )
 from repro.gpusim.executors.serial import SerialExecutor
-from repro.gpusim.executors.sharded import ShardedExecutor
 from repro.gpusim.executors.pooled import PooledExecutor
 from repro.gpusim.executors.vectorized import CodegenExecutor
 
@@ -51,7 +51,6 @@ __all__ = [
     "InflightLaunch",
     "PooledExecutor",
     "SerialExecutor",
-    "ShardedExecutor",
     "compile_spec",
     "infer_arg_type",
     "run_pipelined",
@@ -67,19 +66,15 @@ def select_executor(settings: ExecutorSettings) -> ExecutorBase:
     The vectorized codegen engine wraps whichever strategy the rest of the
     settings would select: it batches vectorizable launches through one
     generated NumPy call and delegates everything else (per launch) to its
-    fallback, so ``codegen=True`` composes with sharding and pools.  Trace
-    collection disables it -- the per-op event trace only exists on the
+    fallback, so ``codegen=True`` composes with the pool.  Trace collection
+    disables it -- the per-op event trace only exists on the
     interpreted/planned paths.
 
     Sharding is only ever profitable (and only correct -- the trace must
     interleave globally, and the perf-mode sample is a handful of CTAs) for
-    functional, trace-free devices; everything else runs serially.  Among
-    sharding strategies, a device bound to a persistent worker pool
-    dispatches to it (:class:`PooledExecutor`); otherwise more than one
-    worker selects fork-per-launch sharding.
+    functional, trace-free devices bound to an open worker pool; everything
+    else runs serially.
     """
-    from repro.gpusim import parallel
-
     if settings.sanitize:
         # The sanitizer validates the *interpreter's* committed aref
         # transitions, and its error must surface in the calling process.
@@ -87,50 +82,39 @@ def select_executor(settings: ExecutorSettings) -> ExecutorBase:
     if settings.codegen and not settings.collect_trace:
         return CodegenExecutor(settings)
     if (settings.functional and not settings.collect_trace
-            and parallel.fork_available()):
-        if settings.pool is not None and not settings.pool.closed:
-            return PooledExecutor(settings)
-        if settings.workers > 1:
-            return ShardedExecutor(settings)
+            and settings.pool is not None and not settings.pool.closed):
+        return PooledExecutor(settings)
     return SerialExecutor(settings)
 
 
-def validate_engine_settings(*, collect_trace=None, use_plans=None,
-                             workers=None, pool=None, codegen=None,
+def validate_engine_settings(*, collect_trace=None, pool=None, codegen=None,
                              sanitize=None) -> None:
     """Reject contradictory engine-selection knob combinations up front.
 
     This is the one home of the engine-selection compatibility matrix.  Every
     argument is ``None`` when the caller did not set the corresponding knob
     *explicitly* -- environment-resolved defaults (``REPRO_SIM_WORKERS``,
-    ``REPRO_SIM_POOL``, ...) are deliberately not judged here, so a test that
-    builds a tracing device under a CI-wide ``REPRO_SIM_WORKERS=2`` still
-    degrades gracefully to serial execution instead of erroring.
+    ``REPRO_SIM_CODEGEN``, ...) are deliberately not judged here, so a test
+    that builds a tracing device under a CI-wide ``REPRO_SIM_WORKERS=2``
+    still degrades gracefully to serial execution instead of erroring.
 
-    ``workers=N`` is likewise only a *hint* even when explicit -- the sharding
-    layer has always degraded it silently (small grids, perf mode, trace
-    collection; pinned by ``tests/test_parallel.py``), so it is never judged
-    here either.  The pool and codegen knobs, by contrast, name a specific
-    engine: asking for one in a configuration that can never use it raises
+    A worker *count* is likewise only a hint even when explicit -- the pool
+    has always been skipped silently for small grids, perf mode and trace
+    collection (pinned by ``tests/test_parallel.py``), so it is never judged
+    here.  An explicit :class:`~repro.gpusim.pool.WorkerPool` instance
+    (``pool``) and the codegen knob, by contrast, name a specific engine:
+    asking for one in a configuration that can never use it raises
     :class:`~repro.gpusim.engine.SimulationError` immediately, at
     construction time, instead of being silently ignored at launch time.
     """
-    del workers  # an optimization hint, degraded by the selection matrix
-
     from repro.gpusim.engine import SimulationError
 
-    if use_plans is False and pool is not None:
-        raise SimulationError(
-            "use_plans=False cannot be combined with a persistent worker "
-            "pool: pool workers resolve pre-built execution plans by artifact "
-            "fingerprint. Drop pool= or re-enable plans."
-        )
     if collect_trace:
         if pool is not None:
             raise SimulationError(
                 "collect_trace=True requires serial execution (the event "
                 "trace must interleave globally); it cannot be combined with "
-                "a persistent worker pool. Drop pool= or the trace."
+                "a persistent worker pool. Drop the pool or the trace."
             )
         if codegen:
             raise SimulationError(
@@ -150,5 +134,5 @@ def validate_engine_settings(*, collect_trace=None, use_plans=None,
                 "sanitize=True requires serial in-process execution (the "
                 "sanitizer's verdict must surface in the calling process); "
                 "it cannot be combined with a persistent worker pool. Drop "
-                "pool= or sanitize=."
+                "the pool or sanitize=."
             )

@@ -7,8 +7,8 @@ cloned between ``Device.launch`` and ``Device.run_many``:
   the execution plan, normalize the grid, bind arguments, pick the perf-mode
   CTA sample.  One implementation, used by every strategy and every entry
   point, so the two paths cannot drift apart again.
-* **execute** -- strategy-specific (serial in-process, sharded across forked
-  workers); the only method subclasses must provide.
+* **execute** -- strategy-specific (serial in-process, sharded across the
+  worker pool); the only method subclasses must provide.
 * **finalize** -- the deterministic merge of per-CTA rows into a
   :class:`~repro.gpusim.launch.LaunchResult` (launch-order reductions, wave
   quantization, launch overheads), bit-identical regardless of strategy.
@@ -59,15 +59,14 @@ class ExecutorSettings:
     max_ctas_per_sm_simulated: int = 8
     collect_trace: bool = False
     use_plans: bool = True
-    workers: int = 1
-    #: supervision policy for sharded launches (see repro.gpusim.parallel):
+    #: supervision policy for pooled launches (see repro.gpusim.parallel):
     #: seconds a shard may go without progress before it is declared hung
-    #: (0 disables the deadline), and re-forks per failed shard before the
+    #: (0 disables the deadline), and retries per failed shard before the
     #: parent degrades to re-executing that shard serially in-process.
     shard_timeout: float = 60.0
     shard_retries: int = 2
-    #: persistent worker pool (repro.gpusim.pool.WorkerPool) launches are
-    #: dispatched to instead of forking per launch; None = fork-per-launch.
+    #: persistent worker pool (repro.gpusim.pool.WorkerPool) functional
+    #: launches are sharded across; None = serial execution.
     pool: Any = None
     #: vectorized plan-to-source engine (repro.gpusim.codegen): batch all
     #: CTAs of a launch through one generated NumPy call, falling back to
@@ -109,8 +108,8 @@ def compile_spec(settings: ExecutorSettings, kern, args: Mapping[str, Any],
     content-addressed (kernel source hash + specialization + options +
     config), deduplicated across devices / batches / processes, and finalized
     with the execution plan for this device's mode already built -- so by the
-    time a launch forks worker processes the plan is part of the inherited
-    artifact.
+    time a launch reaches the worker pool the plan is part of the artifact
+    its workers inherit.
     """
     from repro.core.service import get_compiler_service
 
@@ -313,14 +312,14 @@ class ExecutorBase:
     def submit(self, prepared: PreparedLaunch) -> InflightLaunch:
         """Start a prepared launch; the base strategy runs it to completion.
 
-        Asynchronous strategies (the sharded executor) override this to fork
-        first and collect later, which is what lets :func:`run_pipelined`
+        Asynchronous strategies (the pooled executor) override this to
+        dispatch first and collect later, which is what lets :func:`run_pipelined`
         overlap the next launch's compilation with this launch's execution.
         """
         return InflightLaunch(self.run(prepared))
 
     def cta_runner(self, prepared: PreparedLaunch):
-        """A closure simulating one CTA of a prepared launch (fork-inheritable)."""
+        """A closure simulating one CTA of a prepared launch in this process."""
 
         def run_cta(linear: int) -> CtaRow:
             return self.run_one_cta(prepared, linear)
@@ -403,7 +402,7 @@ def run_pipelined(executor: Executor, specs: Sequence[LaunchSpec],
 
     Compilation (kernel + execution plan, deduplicated by the process-wide
     caches) is pipelined against asynchronous execution: while launch *i*'s
-    submission is in flight (sharded executor: its worker processes simulate
+    submission is in flight (pooled executor: its worker processes simulate
     its CTAs), this driver prepares -- compiles -- launch *i+1*, then
     collects *i* before submitting *i+1*.  Synchronous executors degenerate
     to sequential prepare/execute, still with fully deduplicated compilation.
@@ -446,8 +445,8 @@ def run_pipelined(executor: Executor, specs: Sequence[LaunchSpec],
             pending = None
             record(j, inflight.collect())
     except BaseException:
-        # Don't leak forked workers (or their launch's shared mappings) when
-        # a later spec fails to prepare.
+        # Don't leave pool workers busy (or the launch's buffers in the
+        # pool's arena) when a later spec fails to prepare.
         if pending is not None:
             pending[1].abort()
         raise

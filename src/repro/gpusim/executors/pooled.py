@@ -1,21 +1,21 @@
-"""The pooled executor: launches dispatched to a persistent worker pool.
+"""The pooled executor: launches sharded across the persistent worker pool.
 
-Bridges :mod:`repro.gpusim.pool` into the :class:`Executor` protocol.  The
-launch pipeline is unchanged from the sharded executor's point of view --
+Bridges :mod:`repro.gpusim.pool` into the :class:`Executor` protocol.
 ``prepare`` compiles through the compiler service, ``submit`` returns an
-in-flight handle, ``collect`` merges in launch order -- but execution goes
+in-flight handle, ``collect`` merges in launch order -- and execution goes
 to the pool's long-lived workers: the work item carries the artifact's
 content fingerprint (resolved from the worker's fork-inherited cache, zero
 compiles when warm) and the launch's buffers travel through the pool's
-reusable shared-memory arena instead of per-launch ``MAP_SHARED`` churn.
+reusable shared-memory arena.
 
-Every ineligible launch degrades gracefully to the inherited
-:class:`ShardedExecutor` behaviour (counted as ``pool_fallback_launches``):
+Every launch the pool cannot take runs through the inherited
+:class:`SerialExecutor` body in the calling process:
 
-* fewer than two CTAs -- serial in-process, same as sharded;
+* fewer than two CTAs (nothing to shard; not counted as a fallback);
 * no content fingerprint (kernel compiled outside the service), a busy or
-  shut-down pool, or a launch that does not fit the arena -- fork-per-launch
-  sharding with the usual share/release buffer lifecycle.
+  shut-down pool, or a launch that does not fit the arena -- counted as
+  ``pool_fallback_launches`` (and a busy pool also as
+  ``pool_busy_rejections``).
 
 Results are bit-identical to :class:`SerialExecutor` either way: the same
 per-CTA simulation runs against content-identical arguments, and the merge
@@ -27,21 +27,26 @@ from __future__ import annotations
 from repro.gpusim import pool as pool_mod
 from repro.gpusim.executors.base import InflightLaunch
 from repro.gpusim.executors.serial import SerialExecutor
-from repro.gpusim.executors.sharded import ShardedExecutor
 from repro.gpusim.launch import LaunchResult, PreparedLaunch
+from repro.gpusim.parallel import SupervisorConfig
 from repro.perf.counters import COUNTERS
 
 
-class PooledExecutor(ShardedExecutor):
+class PooledExecutor(SerialExecutor):
     """Shard launches across a persistent :class:`WorkerPool`."""
 
     @property
     def pool(self) -> "pool_mod.WorkerPool":
         return self.settings.pool
 
-    def pool_workers(self, prepared: PreparedLaunch) -> int:
+    def effective_workers(self, prepared: PreparedLaunch) -> int:
         """How many pool workers this launch shards across (1 = serial)."""
         return max(1, min(self.pool.size, len(prepared.cta_ids)))
+
+    def supervisor_config(self) -> SupervisorConfig:
+        """The supervision policy this executor's launches run under."""
+        return SupervisorConfig(timeout=self.settings.shard_timeout,
+                                retries=self.settings.shard_retries)
 
     def settings_state(self) -> tuple:
         """The picklable settings slice a pool work item carries."""
@@ -51,17 +56,21 @@ class PooledExecutor(ShardedExecutor):
     def run(self, prepared: PreparedLaunch) -> LaunchResult:
         return self.submit(prepared).collect()
 
+    def _fall_back(self, prepared: PreparedLaunch) -> InflightLaunch:
+        """Run a launch the pool cannot take serially, in this process."""
+        COUNTERS.pool_fallback_launches += 1
+        return InflightLaunch(self.finalize(prepared, self.execute(prepared)))
+
     def submit(self, prepared: PreparedLaunch) -> InflightLaunch:
-        """Dispatch to the pool, or degrade to the inherited sharded paths."""
-        workers = self.pool_workers(prepared)
-        if workers <= 1:
-            return InflightLaunch(
-                self.finalize(prepared, SerialExecutor.execute(self, prepared)))
+        """Dispatch to the pool, or run the launch serially in-process."""
+        workers = self.effective_workers(prepared)
+        if workers <= 1:  # nothing to shard: serial, not a fallback
+            return InflightLaunch(self.finalize(prepared,
+                                                self.execute(prepared)))
         pool = self.pool
         key = getattr(prepared.compiled, "fingerprint", None)
         if key is None:
-            COUNTERS.pool_fallback_launches += 1
-            return super().submit(prepared)
+            return self._fall_back(prepared)
         # Claim the pool *atomically* before staging anything into its arena:
         # a bare busy check is check-then-act, and two threads dispatching
         # over one process-global pool (the serve layer's dispatch thread
@@ -74,14 +83,12 @@ class PooledExecutor(ShardedExecutor):
                 # Counted separately so the serve layer can report honest
                 # contention next to the catch-all fallback count.
                 COUNTERS.pool_busy_rejections += 1
-            COUNTERS.pool_fallback_launches += 1
-            return super().submit(prepared)
+            return self._fall_back(prepared)
         placements = pool.arena.place_buffers(
             list(prepared.spec.args.values()))
         if placements is None:  # oversized launch (or data-free buffer)
             pool.release(token)
-            COUNTERS.pool_fallback_launches += 1
-            return super().submit(prepared)
+            return self._fall_back(prepared)
         try:
             launched = pool_mod.PoolLaunch(
                 pool, self.cta_runner(prepared), prepared.cta_ids, workers,

@@ -13,8 +13,8 @@ class SerialExecutor(ExecutorBase):
     This is the reference strategy: functional launches run every CTA,
     performance-mode launches run the stratified sample, and either the
     compiled execution plan or the IR-interpreter oracle does the per-CTA
-    work (``use_plans``).  The sharded executor defines itself against this
-    class -- any launch it cannot shard falls back to exactly this body.
+    work (``use_plans``).  The pooled executor defines itself against this
+    class -- any launch the pool cannot take runs exactly this body.
     """
 
     def execute(self, prepared: PreparedLaunch) -> list[CtaRow]:

@@ -25,37 +25,6 @@ import numpy as np
 from repro.ir.types import ScalarType, scalar_type
 
 
-def shared_ndarray(shape: Sequence[int], dtype) -> np.ndarray:
-    """Allocate a NumPy array backed by an anonymous *shared* mapping.
-
-    ``mmap.mmap(-1, ...)`` creates a ``MAP_SHARED | MAP_ANONYMOUS`` region on
-    POSIX systems, so writes performed by worker processes forked *after* the
-    allocation are visible to the parent (and vice versa).  This is what lets
-    the sharded executor (:mod:`repro.gpusim.parallel`) scatter CTA outputs
-    straight into the launch's buffers without any result shipping.
-
-    The mapping is kept alive by the returned array (``base`` chain).
-    Callers that need *deterministic* unmapping (rather than waiting for GC)
-    should use :func:`shared_ndarray_with_backing` and close the mapping
-    themselves once every view is gone.
-    """
-    array, _ = shared_ndarray_with_backing(shape, dtype)
-    return array
-
-
-def shared_ndarray_with_backing(shape: Sequence[int],
-                                dtype) -> tuple[np.ndarray, mmap.mmap]:
-    """Like :func:`shared_ndarray`, but also returns the mmap object itself
-    so the owner can ``close()`` it deterministically (see
-    :meth:`GlobalBuffer.release_shared`)."""
-    dtype = np.dtype(dtype)
-    shape = tuple(int(s) for s in shape)
-    count = int(np.prod(shape, dtype=np.int64))
-    size = count * dtype.itemsize
-    backing = mmap.mmap(-1, max(1, size))
-    return np.frombuffer(backing, dtype=dtype, count=count).reshape(shape), backing
-
-
 def _as_scalar_type(dtype: str | ScalarType) -> ScalarType:
     if isinstance(dtype, ScalarType):
         return dtype
@@ -101,9 +70,6 @@ class GlobalBuffer:
             if tuple(data.shape) != self.shape:
                 data = data.reshape(self.shape)
         self.data = data
-        self._shared = False
-        self._shared_backing: mmap.mmap | None = None
-        self._shared_nbytes = 0
 
     # -- constructors -------------------------------------------------------------
 
@@ -124,85 +90,6 @@ class GlobalBuffer:
     @property
     def is_functional(self) -> bool:
         return self.data is not None
-
-    @property
-    def is_shared(self) -> bool:
-        """Whether ``data`` lives in fork-shared memory (see :meth:`make_shared`)."""
-        return self._shared
-
-    def make_shared(self) -> "GlobalBuffer":
-        """Re-back ``data`` with an anonymous shared mapping (idempotent).
-
-        Called by the device before forking worker processes so that tile
-        stores and scatters executed by sharded CTAs land in memory the parent
-        can see.  A no-op for performance-mode (data-free) buffers and for
-        buffers that are already shared.
-
-        The mapping's lifetime is bracketed by the launch: once the workers
-        have been joined and their rows merged, the device calls
-        :meth:`release_shared` to re-privatize the buffer and unmap the
-        region deterministically (``sim_counters()['parallel_shared_bytes']``
-        tracks the bytes currently live in such mappings).
-        """
-        if self.data is None or self._shared:
-            return self
-        from repro.perf.counters import COUNTERS
-
-        # A previous release may have had to retain its mapping because an
-        # external view still exported it; retry (handing off to GC as the
-        # last resort) before mapping a new region, so at most one backing is
-        # ever tracked per buffer.
-        self._close_backing(force=True)
-        shared, backing = shared_ndarray_with_backing(self.data.shape, self.data.dtype)
-        shared[...] = self.data
-        self.data = shared
-        self._shared = True
-        self._shared_backing = backing
-        self._shared_nbytes = len(backing)
-        COUNTERS.parallel_shared_bytes += self._shared_nbytes
-        return self
-
-    def release_shared(self) -> "GlobalBuffer":
-        """Re-privatize a shared buffer and unmap its backing (idempotent).
-
-        Inverse of :meth:`make_shared`: copies the (worker-written) shared
-        contents into an ordinary private array, drops the shared view and
-        closes the anonymous mapping, so a long batched sweep never
-        accumulates live ``MAP_SHARED`` regions waiting for GC.  Safe only
-        once the launch's worker processes have been joined.
-
-        If a caller still holds a view of the shared array the mapping
-        cannot close yet; it (and its ``parallel_shared_bytes`` accounting)
-        is retained and retried on the next release/share of this buffer, so
-        the gauge never reports an unmapped region that is in fact live.
-        """
-        if self._shared:
-            self.data = np.array(self.data, copy=True)
-            self._shared = False
-        self._close_backing()
-        return self
-
-    def _close_backing(self, force: bool = False) -> None:
-        """Close the retained mapping if possible, keeping the gauge honest.
-
-        ``force=True`` (the re-share path) hands an unclosable mapping over
-        to GC -- dropping the reference and its gauge contribution -- so a
-        buffer never tracks two backings at once.
-        """
-        backing = self._shared_backing
-        if backing is None:
-            return
-        from repro.perf.counters import COUNTERS
-
-        try:
-            backing.close()
-        except BufferError:
-            # An external view still exports the buffer.
-            if not force:
-                return  # keep the mapping (and its bytes) accounted; retry later
-        self._shared_backing = None
-        COUNTERS.parallel_shared_bytes -= self._shared_nbytes
-        self._shared_nbytes = 0
 
     @property
     def num_elements(self) -> int:
@@ -371,36 +258,6 @@ def _reachable_buffers(values) -> "list[GlobalBuffer]":
     return buffers
 
 
-def share_buffers(values) -> None:
-    """Re-back every buffer reachable from launch arguments with shared memory.
-
-    Must run before a sharded launch's workers fork: tile stores and scatters
-    they execute land in these mappings, which is how functional outputs come
-    back to the parent.  Idempotent, and also applied to read-only inputs
-    (distinguishing them from outputs is not worth the copy it would save).
-    The mappings stay live for the *whole* launch, including supervised
-    retries: a re-forked shard inherits the current mappings (re-mapping
-    between attempts would disconnect surviving workers still writing into
-    the old region), and :func:`release_buffers` runs exactly once, after the
-    merge / serial fallback / abort.
-    """
-    for buffer in _reachable_buffers(values):
-        buffer.make_shared()
-
-
-def release_buffers(values) -> None:
-    """Re-privatize a sharded launch's buffers once its workers are joined.
-
-    Inverse of :func:`share_buffers`; run on every launch exit path --
-    success, worker-reported error, exhausted-retries serial fallback, abort
-    -- so ``sim_counters()['parallel_shared_bytes']`` returns to 0 no matter
-    how the launch ended.  A buffer reused by a later launch of the same
-    batch is simply re-shared then.
-    """
-    for buffer in _reachable_buffers(values):
-        buffer.release_shared()
-
-
 def _align_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
 
@@ -423,9 +280,8 @@ class SharedArena:
     inherits the same mapping.  Each launch then *places* its reachable
     buffers into the arena (bump allocation + one copy in), workers write
     their output tiles straight into the shared views, and the merge
-    *restores* the buffers to private memory and recycles the bump pointer
-    -- replacing the per-launch ``mmap``/``munmap`` churn of
-    :func:`share_buffers` / :func:`release_buffers` with two memcpys.
+    *restores* the buffers to private memory and recycles the bump pointer:
+    two memcpys per launch, and no mapping is created or torn down.
 
     The region's size is accounted in the ``parallel_shared_bytes`` gauge for
     its whole lifetime (creation to :meth:`close`), since the mapping is live
@@ -478,8 +334,8 @@ class SharedArena:
 
         Returns the placements (to hand back to :meth:`restore_buffers` at
         merge), or ``None`` -- without side effects -- when the launch does
-        not fit or reaches a data-free buffer; the caller then falls back to
-        the per-launch :func:`share_buffers` path.
+        not fit or reaches a data-free buffer; the caller then runs the
+        launch serially in-process.
         """
         if self._backing is None:
             return None
@@ -514,9 +370,8 @@ class SharedArena:
         """Evacuate placed buffers back to private memory and recycle.
 
         Runs exactly once per launch, on every exit path (merge, serial
-        fallback, worker-reported error, abort), mirroring
-        :func:`release_buffers`; the copy-out is what makes the recycled
-        region safe to overwrite by the next launch.
+        fallback, worker-reported error, abort); the copy-out is what makes
+        the recycled region safe to overwrite by the next launch.
         """
         for placement in placements:
             placement.buffer.data = np.array(placement.buffer.data, copy=True)
@@ -529,8 +384,7 @@ class SharedArena:
 
         Safe only once every placed buffer has been restored and the pool's
         workers are gone; a still-exported view keeps the mapping (and its
-        gauge contribution) alive, exactly like
-        :meth:`GlobalBuffer.release_shared`.
+        gauge contribution) alive.
         """
         backing = self._backing
         if backing is None:

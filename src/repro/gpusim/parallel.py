@@ -1,65 +1,33 @@
-"""Sharded multi-process CTA execution with worker supervision.
+"""Sharding and supervision policy for multi-process CTA execution.
 
 All CTAs of a functional launch are independent -- each gets a fresh
 :class:`~repro.gpusim.engine.Engine` and :class:`SMResources`, and distinct
 CTAs write disjoint output tiles -- so grid execution is embarrassingly
-parallel.  This module shards a launch's CTA ids across ``N`` forked worker
-processes and merges the per-CTA results back in launch order, which makes the
-merged :class:`~repro.gpusim.device.LaunchResult` bit-identical to the serial
-path (the per-CTA simulations do not interact, so execution order and
-placement cannot change their cycle counts).
+parallel.  The persistent worker pool (:mod:`repro.gpusim.pool`) shards a
+launch's CTA ids across its workers and merges the per-CTA results back in
+launch order, which makes the merged
+:class:`~repro.gpusim.launch.LaunchResult` bit-identical to the serial path.
 
-Design notes:
+This module holds the small, engine-independent policy pieces the pool's
+supervisor (:class:`repro.gpusim.pool.PoolLaunch`) runs on:
 
-* **State crosses the process boundary by fork inheritance.**  Compiled
-  kernels, execution plans and launch contexts are full of closures and
-  generators that cannot be pickled; instead workers inherit ready state by
-  construction -- execution plans are built into the compile artifact at
-  finalize time (:class:`repro.core.service.CompilerService`), and the device
-  resolves the remaining per-launch state (argument binding, buffer sharing)
-  before forking -- so each child starts with the complete launch state
-  already in its address space.  Only the small, picklable pieces cross the
-  boundary at runtime: a :class:`CtaShard` (worker index + CTA ids) on the
-  way in, and heartbeats plus per-CTA ``(linear_id, cycles, tc_busy,
-  bytes_copied)`` rows and a counter snapshot on the way out.
-* **Outputs come back through shared memory.**  The device re-backs every
-  functional buffer reachable from the launch arguments with an anonymous
-  shared mapping (:meth:`repro.gpusim.memory.GlobalBuffer.make_shared`)
-  before forking, so worker tile stores are immediately visible to the
-  parent.
-* **Deterministic merge.**  Shards are formed round-robin (so data-dependent
-  trip counts balance across workers, mirroring the stratified perf-mode
-  sample), but results are re-ordered by the launch's original CTA order and
-  the per-worker counter deltas are summed, which is order-insensitive.
-* **Supervision.**  The parent tracks a per-shard state machine (*forked* ->
-  *running* -> *merged*).  Worker death is detected by pipe EOF + exitcode;
-  worker hangs by a per-shard progress deadline
-  (:data:`REPRO_SIM_SHARD_TIMEOUT` seconds without a message -- workers send
-  throttled heartbeats between CTAs, so long shards are not falsely killed);
-  corrupt pipe messages by unpickling/shape failures.  Any of the three
-  re-forks *just the failed shard* with exponential backoff, up to
-  :data:`REPRO_SIM_SHARD_RETRIES` attempts, and then degrades to in-process
-  serial re-execution of that shard (never the whole launch).  Re-running a
-  shard is safe because CTAs are deterministic and idempotent: they rewrite
-  exactly their own output tiles with identical values, and a failed shard's
-  counter snapshot is never merged, so recovered launches stay bit-identical
-  to serial and counters stay single-counted.  Worker-*reported* exceptions
-  (the simulation itself raised) are deterministic application errors and
-  are re-raised immediately, not retried.
-
-Every failure path keeps the shared-mapping lifecycle intact: retried shards
-inherit the launch's *existing* ``MAP_SHARED`` regions at re-fork time
-(releasing and re-mapping between attempts would disconnect the surviving
-workers still writing into them), and release happens exactly once per
-launch -- after the merge, the terminal serial fallback, or the abort/raise
--- so ``sim_counters()['parallel_shared_bytes']`` returns to 0 no matter
-which recovery path ran.
-
-Workers are plain ``fork`` processes with one result pipe each -- no pool
-threads -- so a launch can be left running in the background (see
-:class:`ParallelLaunch`) while the parent prepares, compiles or merges other
-launches.  That is what lets :meth:`Device.run_many` overlap compilation of
-launch *i+1* with execution of launch *i*.
+* **Sharding.**  :func:`shard_cta_ids` forms shards round-robin (so
+  data-dependent trip counts balance across workers, mirroring the
+  stratified perf-mode sample); :class:`CtaShard` is the picklable work
+  descriptor.
+* **Worker count.**  :func:`resolve_workers` resolves ``Device(workers=N)``
+  / ``REPRO_SIM_WORKERS``.
+* **Supervision policy.**  :class:`SupervisorConfig` carries the per-shard
+  progress deadline (:data:`SHARD_TIMEOUT_ENV` seconds without progress --
+  workers send throttled heartbeats between CTAs, so long shards are not
+  falsely killed) and the retry budget (:data:`SHARD_RETRIES_ENV` attempts
+  with exponential backoff, then in-process serial re-execution of just the
+  failed shard).  :class:`ShardState` is one shard's record in the
+  supervision state machine (*forked* -> *running* -> *merged*, with
+  *backoff* between attempts).
+* **Injected hangs.**  :func:`_hang` is the worker-side body of a ``hang``
+  fault: it heartbeats *without* progress, which the deadline must see
+  through.
 """
 
 from __future__ import annotations
@@ -68,27 +36,23 @@ import math
 import multiprocessing as mp
 import os
 import time
-from multiprocessing import connection as mp_connection
-import traceback
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-from repro import faults
 from repro.gpusim.engine import SimulationError
-from repro.perf.counters import COUNTERS
 
-#: Seconds a worker may go without sending any message (heartbeat or result)
-#: before the parent declares it hung and recovers.  ``0`` disables the
-#: deadline (and heartbeats with it).
+#: Seconds a worker may go without reporting progress before the parent
+#: declares it hung and recovers.  ``0`` disables the deadline (and
+#: heartbeats with it).
 SHARD_TIMEOUT_ENV = "REPRO_SIM_SHARD_TIMEOUT"
 DEFAULT_SHARD_TIMEOUT = 60.0
 
-#: How many times a failed shard is re-forked before the parent degrades to
-#: re-executing it serially in-process.
+#: How many times a failed shard is retried on a respawned worker before the
+#: parent degrades to re-executing it serially in-process.
 SHARD_RETRIES_ENV = "REPRO_SIM_SHARD_RETRIES"
 DEFAULT_SHARD_RETRIES = 2
 
-#: Base delay before the first re-fork; doubles per subsequent attempt.
+#: Base delay before the first retry; doubles per subsequent attempt.
 DEFAULT_RETRY_BACKOFF = 0.05
 
 
@@ -148,7 +112,7 @@ def resolve_shard_timeout(timeout: float | None = None) -> float:
 
 
 def resolve_shard_retries(retries: int | None = None) -> int:
-    """The effective per-shard re-fork budget before serial fallback."""
+    """The effective per-shard retry budget before serial fallback."""
     if retries is None:
         raw = os.environ.get(SHARD_RETRIES_ENV, "").strip()
         if not raw:
@@ -173,11 +137,6 @@ class SupervisorConfig:
     retries: int = DEFAULT_SHARD_RETRIES
     backoff: float = DEFAULT_RETRY_BACKOFF
 
-    @classmethod
-    def from_env(cls) -> "SupervisorConfig":
-        return cls(timeout=resolve_shard_timeout(),
-                   retries=resolve_shard_retries())
-
     @property
     def heartbeat_interval(self) -> float:
         """Seconds between worker heartbeats (0 = heartbeats disabled).
@@ -191,7 +150,7 @@ class SupervisorConfig:
         return min(1.0, self.timeout / 4.0)
 
     def retry_delay(self, attempt: int) -> float:
-        """Exponential backoff before re-fork ``attempt`` (1-based)."""
+        """Exponential backoff before retry ``attempt`` (1-based)."""
         return self.backoff * (2.0 ** max(0, attempt - 1))
 
 
@@ -202,9 +161,6 @@ class CtaShard:
     index: int
     cta_ids: tuple[int, ...]
 
-
-#: One per-CTA result row: (linear_id, cycles, tc_busy_cycles, bytes_copied).
-CtaRow = tuple[int, float, float, int]
 
 #: Per-shard supervision states (ShardState.status).
 FORKED = "forked"
@@ -251,299 +207,21 @@ def _hang(send_beat: Callable[[], None] | None, seconds: float,
                 return
 
 
-def _worker_main(conn, run_cta: Callable[[int], tuple[float, float, int]],
-                 shard: CtaShard, heartbeat_interval: float) -> None:
-    """Body of one forked worker: simulate a shard, ship rows + counters back.
-
-    The child's ``COUNTERS`` block is a copy-on-write snapshot of the parent's;
-    resetting it first makes the final snapshot exactly this worker's delta,
-    which the parent folds back in with :meth:`SimCounters.merge`.
-
-    Between CTAs the worker emits throttled ``("hb", index, done)`` progress
-    messages (at most one per ``heartbeat_interval`` seconds) so the parent's
-    hang deadline measures *lack of progress*, not shard length.  Fault hooks
-    (:mod:`repro.faults`) sit before each CTA (kill / hang) and before the
-    final send (pipe corruption).
-    """
-    COUNTERS.reset()
-    try:
-        rows: list[CtaRow] = []
-        last_beat = time.monotonic()
-        for ordinal, linear in enumerate(shard.cta_ids):
-            spec = faults.fire("worker", worker=shard.index, cta=ordinal)
-            if spec is not None:
-                if spec.kind == "kill":
-                    os._exit(faults.registry.FAULT_KILL_EXIT)
-                _hang(lambda done=ordinal: conn.send(("hb", shard.index, done)),
-                      spec.seconds, heartbeat_interval)
-            cycles, busy, copied = run_cta(linear)
-            rows.append((linear, cycles, busy, copied))
-            if heartbeat_interval > 0:
-                now = time.monotonic()
-                if now - last_beat >= heartbeat_interval:
-                    conn.send(("hb", shard.index, ordinal + 1))
-                    last_beat = now
-        if faults.fire("pipe", worker=shard.index) is not None:
-            conn.send_bytes(_CORRUPT_PAYLOAD)
-            return
-        conn.send(("ok", shard.index, rows, COUNTERS.snapshot()))
-    except BaseException as exc:  # noqa: BLE001 - must cross the process boundary
-        conn.send(("error", shard.index,
-                   f"{type(exc).__name__}: {exc}", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
 class ShardState:
-    """One shard's supervision record: process, pipe, deadline, attempts."""
+    """One shard's supervision record: status, deadline, attempts."""
 
-    __slots__ = ("shard", "proc", "conn", "status", "attempts", "deadline",
-                 "retry_at", "last_progress", "last_failure")
+    __slots__ = ("shard", "status", "attempts", "deadline", "retry_at",
+                 "last_progress", "last_failure")
 
     def __init__(self, shard: CtaShard):
         self.shard = shard
-        self.proc = None
-        self.conn = None
         self.status = FORKED
-        self.attempts = 0          # forks so far (1 after the initial fork)
+        self.attempts = 0          # dispatches so far (1 after the first)
         self.deadline = math.inf   # monotonic instant the shard is declared hung
-        self.retry_at = 0.0        # monotonic instant a scheduled re-fork fires
+        self.retry_at = 0.0        # monotonic instant a scheduled retry fires
         self.last_progress = 0     # CTAs the live worker has reported done
         self.last_failure = None   # reason string of the most recent failure
 
     @property
     def live(self) -> bool:
         return self.status in (FORKED, RUNNING)
-
-
-class ParallelLaunch:
-    """One launch's supervised forked workers; ``wait()`` yields merged rows.
-
-    Construction forks the workers immediately (inheriting whatever launch
-    state ``run_cta`` closes over), so the parent is free to do other work --
-    compile the next launch, merge a previous one -- before calling
-    :meth:`wait`.  Supervision (hang deadlines, re-forks, serial fallback)
-    happens inside :meth:`wait`.
-    """
-
-    def __init__(self, run_cta: Callable[[int], tuple[float, float, int]],
-                 cta_ids: Sequence[int], num_workers: int,
-                 supervisor: SupervisorConfig | None = None):
-        if not fork_available():  # pragma: no cover - linux containers have fork
-            raise SimulationError("sharded execution requires fork()")
-        # Materialize the fault registry (and its fork-shared budget cells)
-        # before the first fork, so workers inherit it.
-        faults.active_registry()
-        self.config = supervisor or SupervisorConfig.from_env()
-        self._ctx = mp.get_context("fork")
-        self._run_cta = run_cta
-        self._cta_ids = list(cta_ids)
-        self._states: dict[int, ShardState] = {}
-        for shard in shard_cta_ids(self._cta_ids, num_workers):
-            state = ShardState(shard)
-            self._states[shard.index] = state
-            self._fork(state)
-        self.num_workers = len(self._states)
-        #: Supervision-step count (observability: regression tests bound this
-        #: to prove the wait loop sleeps instead of busy-spinning).
-        self.drain_calls = 0
-        COUNTERS.parallel_launches += 1
-
-    # ------------------------------------------------------------------ forking
-
-    def _fork(self, state: ShardState) -> None:
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(send, self._run_cta, state.shard,
-                  self.config.heartbeat_interval),
-            daemon=True,
-            name=f"repro-sim-worker-{state.shard.index}.{state.attempts}",
-        )
-        proc.start()
-        send.close()  # the child holds the write end now
-        state.proc, state.conn = proc, recv
-        state.status = FORKED
-        state.attempts += 1
-        state.last_progress = 0
-        if self.config.timeout > 0:
-            state.deadline = time.monotonic() + self.config.timeout
-        else:
-            state.deadline = math.inf
-        COUNTERS.parallel_workers_forked += 1
-
-    def _reap(self, state: ShardState) -> int | None:
-        """Terminate (if needed) and join a shard's worker; its exit code."""
-        proc = state.proc
-        if proc is None:
-            return None
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM-ignoring child
-                proc.kill()
-                proc.join()
-        else:
-            proc.join()
-        if state.conn is not None:
-            state.conn.close()
-        state.proc, state.conn = None, None
-        return proc.exitcode
-
-    # ------------------------------------------------------------------ recovery
-
-    def _fail(self, state: ShardState, reason: str,
-              rows: dict[int, tuple[float, float, int]]) -> None:
-        """Recover a failed shard: schedule a re-fork or fall back to serial."""
-        state.last_failure = reason
-        self._reap(state)
-        if state.attempts <= self.config.retries:
-            delay = self.config.retry_delay(state.attempts)
-            state.status = BACKOFF
-            state.retry_at = time.monotonic() + delay
-            COUNTERS.shard_retries += 1
-            return
-        # Terminal fallback: re-execute just this shard, serially, in-process.
-        # The launch's buffers are still the shared mappings every surviving
-        # worker writes into, so parent-side stores land in the same place.
-        COUNTERS.shard_serial_fallbacks += 1
-        for linear in state.shard.cta_ids:
-            rows[linear] = self._run_cta(linear)
-        state.status = MERGED
-
-    # ------------------------------------------------------------------ collection
-
-    def shard_states(self) -> dict[int, str]:
-        """Shard index -> supervision state (observability / tests)."""
-        return {index: state.status for index, state in self._states.items()}
-
-    def wait(self) -> list[tuple[float, float, int]]:
-        """Collect every shard and return per-CTA results in launch order.
-
-        Runs the supervision loop: drains messages, refreshes progress
-        deadlines, re-forks failed shards after their backoff, and serially
-        re-executes shards that exhausted their retries.  Worker-reported
-        exceptions abort the launch immediately (they are deterministic
-        simulation errors, not infrastructure failures).
-        """
-        rows: dict[int, tuple[float, float, int]] = {}
-        try:
-            while True:
-                pending = [s for s in self._states.values()
-                           if s.status != MERGED]
-                if not pending:
-                    break
-                now = time.monotonic()
-                for state in pending:
-                    if state.status == BACKOFF and now >= state.retry_at:
-                        self._fork(state)
-                self._drain(rows)
-                now = time.monotonic()
-                for state in self._states.values():
-                    if state.live and now > state.deadline:
-                        COUNTERS.shard_timeouts += 1
-                        self._fail(
-                            state,
-                            f"worker {state.shard.index} made no progress for "
-                            f"{self.config.timeout}s", rows)
-                faults.sync_fired()
-        except BaseException:
-            self.abort()
-            raise
-        faults.sync_fired()
-        return [rows[linear] for linear in self._cta_ids]
-
-    def _drain(self, rows: dict[int, tuple[float, float, int]]) -> None:
-        """One supervision step: wait for messages/deadlines, process them."""
-        self.drain_calls += 1
-        live = {s.conn: s for s in self._states.values() if s.live}
-        now = time.monotonic()
-        wakeups = [s.deadline for s in self._states.values() if s.live]
-        wakeups += [s.retry_at for s in self._states.values()
-                    if s.status == BACKOFF]
-        horizon = min(wakeups) if wakeups else now
-        timeout = None if horizon == math.inf else max(0.0, horizon - now)
-        if not live:
-            # No pipes to select on (every shard is waiting out a BACKOFF, or
-            # nothing is due at all).  Always sleep a bounded tick: ``if
-            # timeout:`` would skip the sleep for a 0.0 horizon *and* for the
-            # None-from-inf case, hot-looping the wait() loop until retry_at.
-            if timeout is not None:
-                time.sleep(min(max(timeout, 0.0), 0.25))
-            else:
-                time.sleep(0.05)
-            return
-        ready = mp_connection.wait(list(live), timeout=timeout)
-        for conn in ready:
-            state = live[conn]
-            try:
-                msg = conn.recv()
-            except EOFError:
-                code = self._reap(state)
-                self._fail(
-                    state,
-                    f"worker {state.shard.index} died without reporting "
-                    f"(exit code {code})", rows)
-                continue
-            except Exception as exc:
-                self._fail(
-                    state,
-                    f"worker {state.shard.index} sent a corrupt message "
-                    f"({type(exc).__name__}: {exc})", rows)
-                continue
-            self._handle(state, msg, rows)
-
-    def _handle(self, state: ShardState, msg,
-                rows: dict[int, tuple[float, float, int]]) -> None:
-        if not (isinstance(msg, tuple) and msg and isinstance(msg[0], str)):
-            self._fail(
-                state,
-                f"worker {state.shard.index} sent a malformed message "
-                f"{msg!r}", rows)
-            return
-        if msg[0] == "hb":
-            state.status = RUNNING
-            progressed = msg[2] > state.last_progress
-            state.last_progress = max(state.last_progress, msg[2])
-            # The deadline measures lack of *progress*, not lack of chatter:
-            # only a heartbeat whose ctas_done advanced extends it.  A worker
-            # beating while stuck (injected hang, livelocked CTA) keeps its
-            # original deadline and still times out.
-            if progressed and self.config.timeout > 0:
-                state.deadline = time.monotonic() + self.config.timeout
-        elif msg[0] == "ok":
-            _, _, shard_rows, counters = msg
-            for linear, cycles, busy, copied in shard_rows:
-                rows[linear] = (cycles, busy, copied)
-            COUNTERS.merge(counters)
-            self._reap(state)
-            state.status = MERGED
-        elif msg[0] == "error":
-            self._reap(state)
-            state.status = FAILED
-            raise SimulationError(
-                f"sharded execution failed:\nworker {msg[1]}: {msg[2]}\n{msg[3]}"
-            )
-        else:
-            self._fail(
-                state,
-                f"worker {state.shard.index} sent an unknown message tag "
-                f"{msg[0]!r}", rows)
-
-    def abort(self) -> None:
-        """Terminate the workers without collecting results.
-
-        Called when the surrounding batch fails before this launch could be
-        waited on; otherwise the forked children would linger (blocked on a
-        full result pipe) for the life of the parent process.
-        """
-        for state in self._states.values():
-            self._reap(state)
-
-
-def run_sharded(run_cta: Callable[[int], tuple[float, float, int]],
-                cta_ids: Sequence[int], num_workers: int,
-                supervisor: SupervisorConfig | None = None,
-                ) -> list[tuple[float, float, int]]:
-    """Fork, shard, execute, supervise and merge one launch synchronously."""
-    return ParallelLaunch(run_cta, cta_ids, num_workers, supervisor).wait()

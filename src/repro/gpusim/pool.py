@@ -1,10 +1,10 @@
-"""Persistent worker pool: long-lived forked workers fed over request pipes.
+"""Persistent worker pool: the simulator's one multi-process engine.
 
-The sharded executor (:mod:`repro.gpusim.executors.sharded`) forks fresh
-workers and re-maps every launch buffer on *every* launch, so none of the
-warm state the compile cache and execution plans bought survives across
-launches -- fine for sweeps, fatal for a sustained launch stream.  This
-module replaces both per-launch costs for repeated launches:
+``Device(workers=N)`` (or ``REPRO_SIM_WORKERS=N``) with ``N >= 2`` binds a
+device to the process-global pool of ``N`` workers; functional launches of
+two or more CTAs are sharded across it (:mod:`repro.gpusim.parallel` holds
+the sharding and supervision policy) and merged back in launch order, so
+results are bit-identical to serial execution.
 
 * **Long-lived workers.**  A :class:`WorkerPool` forks ``size`` workers once
   (lazily, at the first launch) and keeps them alive across launches.  Each
@@ -31,28 +31,26 @@ module replaces both per-launch costs for repeated launches:
   Each launch bump-allocates its buffers into the arena (one copy in),
   workers write output tiles straight into the shared views, and the merge
   copies the buffers back out and recycles the bump pointer.  Launches that
-  do not fit fall back to the fork-per-launch sharded path.
-* **Supervision.**  :class:`PoolLaunch` ports the :class:`ParallelLaunch`
-  state machine to persistent workers: pipe EOF / corrupt messages / missed
-  progress deadlines reap *and respawn* just the affected worker and retry
-  only its in-flight shard (exponential backoff, then in-process serial
-  fallback); worker-reported exceptions abort the launch immediately.
-  Between launches every pool worker is idle with an empty pipe -- any
-  worker whose item did not end in ``"ok"``/``"error"`` is respawned -- so
-  stale messages cannot leak across launches (messages are additionally
-  tagged with the launch id, as defense in depth).
+  do not fit run serially in the calling process.
+* **Supervision.**  :class:`PoolLaunch` runs the per-shard state machine:
+  pipe EOF / corrupt messages / missed progress deadlines reap *and
+  respawn* just the affected worker and retry only its in-flight shard
+  (exponential backoff, then in-process serial fallback); worker-reported
+  exceptions abort the launch immediately.  Between launches every pool
+  worker is idle with an empty pipe -- any worker whose item did not end in
+  ``"ok"``/``"error"`` is respawned -- so stale messages cannot leak across
+  launches (messages are additionally tagged with the launch id, as defense
+  in depth).
 * **Fault forwarding.**  Pool workers fork *before* test-injected fault
-  registries exist, so they cannot observe budgets by cell inheritance the
-  way per-launch forks do.  Instead each work item carries the parent
-  registry's exported state; the worker rebuilds a local registry and
-  reports each fire over the pipe (``"fault"``, sent before acting, so it
-  survives the worker's own death) and the parent consumes the budget --
-  making it authoritative, so a ``count=1`` kill consumed by one attempt is
-  not re-armed for the retry.
+  registries exist, so they cannot observe budgets by cell inheritance.
+  Instead each work item carries the parent registry's exported state; the
+  worker rebuilds a local registry and reports each fire over the pipe
+  (``"fault"``, sent before acting, so it survives the worker's own death)
+  and the parent consumes the budget -- making it authoritative, so a
+  ``count=1`` kill consumed by one attempt is not re-armed for the retry.
 
-``Device(pool=...)`` (or ``REPRO_SIM_POOL=N``) opts a device in; see
-:class:`repro.gpusim.executors.pooled.PooledExecutor` for the executor that
-bridges the pool into the launch pipeline.
+See :class:`repro.gpusim.executors.pooled.PooledExecutor` for the executor
+that bridges the pool into the launch pipeline.
 """
 
 from __future__ import annotations
@@ -92,29 +90,16 @@ from repro.gpusim.parallel import (
 )
 from repro.perf.counters import COUNTERS
 
-#: Pool size a device resolves when ``Device(pool=None)``: ``""``/``0``/
-#: ``off`` disables, ``auto`` selects the CPU count, otherwise an integer
-#: worker count (< 2 disables -- a pool needs at least two workers to beat
-#: the serial path).
-POOL_ENV = "REPRO_SIM_POOL"
-
-#: Size in bytes of the pool's reusable shared-memory arena.
-POOL_ARENA_ENV = "REPRO_SIM_POOL_ARENA"
+#: Size in bytes of a pool's reusable shared-memory arena.  The largest
+#: launch any benchmark places is 36 MiB; tests that need a small arena pass
+#: ``WorkerPool(arena_bytes=...)``.
 DEFAULT_ARENA_BYTES = 64 << 20
 
 
 def resolve_arena_bytes(nbytes: int | None = None) -> int:
-    """The effective arena size in bytes for a pool."""
+    """The effective arena size in bytes for a pool (default: 64 MiB)."""
     if nbytes is None:
-        raw = os.environ.get(POOL_ARENA_ENV, "").strip()
-        if not raw:
-            return DEFAULT_ARENA_BYTES
-        try:
-            nbytes = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"invalid {POOL_ARENA_ENV}={raw!r}; expected a byte count"
-            ) from None
+        return DEFAULT_ARENA_BYTES
     nbytes = int(nbytes)
     if nbytes <= 0:
         raise SimulationError(f"invalid pool arena size {nbytes}")
@@ -314,7 +299,8 @@ class WorkerPool:
     Construction maps the arena; workers fork lazily at the first dispatch
     (and re-fork when the artifact set grows or supervision reaps them).
     One launch is in flight at a time (:attr:`busy`); the pooled executor
-    falls back to fork-per-launch rather than queueing a second launch.
+    runs a second launch serially in its calling thread rather than
+    queueing it.
     ``shutdown()`` ends the workers and unmaps the arena --
     ``sim_counters()['parallel_shared_bytes']`` returns to its pre-pool
     value.
@@ -352,8 +338,8 @@ class WorkerPool:
         process-global pool could both observe an idle pool and collide in
         :class:`PoolLaunch` (one of them crashing instead of falling back).
         Claiming under a lock makes the race benign -- the loser sees
-        ``False`` and takes the fork-per-launch fallback.  Returns ``False``
-        on a busy or shut-down pool.
+        ``False`` and runs its launch serially.  Returns ``False`` on a busy
+        or shut-down pool.
         """
         with self._claim_lock:
             if self.closed or self._active is not None:
@@ -460,18 +446,18 @@ _LAUNCH_IDS = itertools.count(1)
 class PoolLaunch:
     """One launch's supervised execution on pool workers.
 
-    The pool-worker port of :class:`~repro.gpusim.parallel.ParallelLaunch`:
-    the same per-shard state machine (*forked* -> *running* -> *merged*,
-    with *backoff* between retry attempts), the same progress-deadline /
-    retry-budget policy from :class:`SupervisorConfig`, and the same
-    deterministic launch-order merge -- but a failed shard *respawns its
-    pool worker* and re-sends the work item instead of re-forking a
-    one-shot process, and fault budgets are consumed in the parent from
-    worker ``"fault"`` reports rather than through fork-shared cells.
+    Each shard moves through the :class:`~repro.gpusim.parallel.ShardState`
+    machine (*forked* -> *running* -> *merged*, with *backoff* between retry
+    attempts) under the progress-deadline / retry-budget policy of a
+    :class:`SupervisorConfig`; :meth:`wait` merges rows in launch order.  A
+    failed shard *respawns its pool worker* and re-sends the work item; once
+    its retries are exhausted it re-executes serially in-process through
+    ``run_cta``.  Fault budgets are consumed in the parent from worker
+    ``"fault"`` reports.
 
     Shard ``i`` always runs on pool worker ``i`` (shards are formed
     round-robin over at most ``pool.size`` workers), so ``worker=`` fault
-    selectors mean the same thing under the pool as under fork-per-launch.
+    selectors name a stable worker index.
     """
 
     def __init__(self, pool: WorkerPool,
@@ -617,7 +603,10 @@ class PoolLaunch:
         horizon = min(wakeups) if wakeups else now
         timeout = None if horizon == math.inf else max(0.0, horizon - now)
         if not conns:
-            # Bounded tick, never a hot loop (see ParallelLaunch._drain).
+            # No pipes to select on (every shard is waiting out a BACKOFF,
+            # or nothing is due at all).  Always sleep a bounded tick: ``if
+            # timeout:`` would skip the sleep for a 0.0 horizon *and* for
+            # the None-from-inf case, hot-looping wait() until retry_at.
             if timeout is not None:
                 time.sleep(min(max(timeout, 0.0), 0.25))
             else:
@@ -659,8 +648,10 @@ class PoolLaunch:
             state.status = RUNNING
             progressed = done > state.last_progress
             state.last_progress = max(state.last_progress, done)
-            # Progress, not chatter, extends the deadline (same semantics
-            # as ParallelLaunch._handle).
+            # The deadline measures lack of *progress*, not lack of
+            # chatter: only a heartbeat whose ctas_done advanced extends
+            # it.  A worker beating while stuck (injected hang, livelocked
+            # CTA) keeps its original deadline and still times out.
             if progressed and self.config.timeout > 0:
                 state.deadline = time.monotonic() + self.config.timeout
         elif tag == "fault":
@@ -713,23 +704,23 @@ class PoolLaunch:
 
 
 # ---------------------------------------------------------------------------
-# Process-global pools (Device(pool=N) / REPRO_SIM_POOL)
+# Process-global pools (Device(workers=N) / REPRO_SIM_WORKERS)
 # ---------------------------------------------------------------------------
 
 
 _POOLS: dict[tuple[int, int], WorkerPool] = {}
-#: Guards _POOLS: two threads resolving pool="auto" at the same instant (the
-#: serve layer's warm-compile threads racing its dispatch thread, or two
-#: client threads building devices) must share ONE pool per (size, arena)
-#: shape -- an unguarded check-then-create would fork two worker sets and
-#: map two arenas for the same shape, leaking one of them.
+#: Guards _POOLS: two threads resolving the same worker count at the same
+#: instant (the serve layer's warm-compile threads racing its dispatch
+#: thread, or two client threads building devices) must share ONE pool per
+#: (size, arena) shape -- an unguarded check-then-create would fork two
+#: worker sets and map two arenas for the same shape, leaking one of them.
 _POOLS_GUARD = threading.Lock()
 
 
 def get_worker_pool(size: int, arena_bytes: int | None = None) -> WorkerPool:
     """The process-global pool for ``(size, arena size)``; created on demand.
 
-    Devices resolving ``pool=N`` share one pool per shape, so two devices
+    Devices resolving ``workers=N`` share one pool per shape, so two devices
     with the same knobs reuse the same warm workers.  Thread-safe: concurrent
     resolutions of the same shape return the same pool instance.
     """
@@ -752,38 +743,15 @@ def shutdown_pools() -> None:
         pool.shutdown()
 
 
-def resolve_pool(pool: None | bool | int | str | WorkerPool = None,
-                 ) -> WorkerPool | None:
-    """The effective :class:`WorkerPool` for a device's ``pool=`` knob.
+def resolve_pool(workers: int | WorkerPool) -> WorkerPool | None:
+    """The :class:`WorkerPool` a device's resolved ``workers`` knob names.
 
-    An explicit :class:`WorkerPool` wins; ``None`` consults the
-    ``REPRO_SIM_POOL`` environment variable.  ``0`` / ``off`` / ``""``
-    disable the pool, ``auto`` selects the CPU count, and any resolved size
-    below 2 (or a fork-less platform) disables it too.
+    A :class:`WorkerPool` instance is used as-is (``None`` once shut down);
+    a worker count of 2 or more selects the process-global pool of that
+    size; anything smaller (or a fork-less platform) means serial execution.
     """
-    if isinstance(pool, WorkerPool):
-        return None if pool.closed else pool
-    if pool is None or isinstance(pool, str):
-        raw = (os.environ.get(POOL_ENV, "") if pool is None else pool)
-        raw = raw.strip().lower()
-        if raw in ("", "0", "off", "false", "no"):
-            return None
-        if raw == "auto":
-            size = os.cpu_count() or 1
-        else:
-            try:
-                size = int(raw)
-            except ValueError:
-                raise SimulationError(
-                    f"invalid {POOL_ENV}={raw!r}; expected an integer, "
-                    f"'auto' or 'off'"
-                ) from None
-    elif isinstance(pool, bool):
-        size = (os.cpu_count() or 1) if pool else 0
-    else:
-        size = int(pool)
-        if size == 0:
-            return None
-    if size < 2 or not fork_available():
+    if isinstance(workers, WorkerPool):
+        return None if workers.closed else workers
+    if workers < 2 or not fork_available():
         return None
-    return get_worker_pool(size)
+    return get_worker_pool(workers)

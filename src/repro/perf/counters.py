@@ -12,11 +12,11 @@ The simulator stack increments these as it works:
   reuses;
 * the device counts CTAs simulated through each execution path and the
   discrete events the engine processed;
-* the sharded executor (:mod:`repro.gpusim.parallel`) counts parallel
-  launches and forked workers, and folds each worker's counter delta back
-  into the parent's block via :meth:`SimCounters.merge` -- so the aggregate
-  view (CTAs simulated, engine events, ...) stays accurate no matter which
-  process did the work.
+* the persistent worker pool (:mod:`repro.gpusim.pool`) counts pooled
+  launches, worker spawns and fallbacks, and folds each worker's counter
+  delta back into the parent's block via :meth:`SimCounters.merge` -- so the
+  aggregate view (CTAs simulated, engine events, ...) stays accurate no
+  matter which process did the work.
 
 ``snapshot()`` gives a plain dict for reports / JSON; ``reset()`` zeroes the
 counters (used by benchmarks to scope a measurement and by worker processes
@@ -65,19 +65,17 @@ class SimCounters:
     interpreter_ctas: int = 0
     #: discrete events processed by the engine across all launches
     engine_events: int = 0
-    #: sharded execution (repro.gpusim.parallel)
-    parallel_launches: int = 0
-    parallel_workers_forked: int = 0
-    #: shard supervision (repro.gpusim.parallel): re-forks after a worker
-    #: death/hang/corrupt result, hang deadlines that fired, and shards that
-    #: exhausted their retries and re-executed serially in the parent
+    #: shard supervision (repro.gpusim.pool.PoolLaunch): retries on a
+    #: respawned worker after a worker death/hang/corrupt result, hang
+    #: deadlines that fired, and shards that exhausted their retries and
+    #: re-executed serially in the parent
     shard_retries: int = 0
     shard_timeouts: int = 0
     shard_serial_fallbacks: int = 0
     #: persistent worker pool (repro.gpusim.pool): launches dispatched to
     #: pool workers, long-lived workers forked (spawns + supervision
-    #: respawns), respawns alone, and launches a PooledExecutor had to fall
-    #: back to fork-per-launch for (arena overflow, unkeyed artifact, busy
+    #: respawns), respawns alone, and launches a PooledExecutor had to run
+    #: serially in-process instead (arena overflow, unkeyed artifact, busy
     #: pool)
     pool_launches: int = 0
     pool_workers_spawned: int = 0
@@ -91,9 +89,9 @@ class SimCounters:
     #: faults fired by the active repro.faults registry (tree-wide: fires
     #: inside worker processes are folded in by the registry's owner)
     faults_injected: int = 0
-    #: bytes currently live in anonymous MAP_SHARED launch-buffer mappings
-    #: (a gauge, not a cumulative counter: GlobalBuffer.make_shared adds,
-    #: GlobalBuffer.release_shared subtracts; a quiesced process reads 0)
+    #: bytes currently live in worker-pool arena mappings (a gauge, not a
+    #: cumulative counter: SharedArena creation adds, SharedArena.close
+    #: subtracts; a process with no open pool reads 0)
     parallel_shared_bytes: int = 0
     #: plan-to-source codegen (repro.gpusim.codegen): artifacts emitted vs.
     #: reused from the in-process memo / persistent disk tier, launches that
@@ -169,7 +167,7 @@ class SimCounters:
 
         Addition is commutative (per scalar counter and per dict key), so the
         aggregate is independent of the order in which worker shards complete
-        -- part of the sharded executor's determinism guarantee.
+        -- part of the pooled executor's determinism guarantee.
         """
         for f in fields(self):
             increment = delta.get(f.name)

@@ -26,7 +26,9 @@ DEFAULT_PORT = 7893
 
 
 def _build_device(args: argparse.Namespace) -> Device:
-    return Device(mode=args.mode, pool=args.pool)
+    # --pool N is the deployment spelling of Device(workers=N); 0 disables
+    # the pool (workers=0 would mean "one per CPU").
+    return Device(mode=args.mode, workers=args.pool or 1)
 
 
 def _build_policy(args: argparse.Namespace) -> ServePolicy:

@@ -178,7 +178,7 @@ class SimService:
 
     Use as an async context manager (or call :meth:`start` / :meth:`close`):
 
-    >>> async with SimService(Device(mode="functional", pool=2)) as service:
+    >>> async with SimService(Device(mode="functional", workers=2)) as service:
     ...     result = await service.submit(spec)
     """
 

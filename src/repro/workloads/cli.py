@@ -12,7 +12,7 @@ Commands::
 
 ``run`` with no names runs every registered workload.  Functional mode
 executes each workload's small check problem and asserts it against the
-NumPy reference (sharded across ``--workers`` processes when > 1).  Perf
+NumPy reference (sharded across a ``--workers`` process pool when > 1).  Perf
 mode submits the whole reduced sweep of every selected workload as **one**
 :func:`repro.experiments.common.measure_sweep` batch, so compilation is
 front-loaded and deduplicated through the compiler service, execution plans
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         f"-- compile cache {counters['compile_cache_hits']} hits / "
         f"{counters['compile_cache_misses']} misses, "
         f"{counters['plan_ctas']} plan CTAs, "
-        f"{counters['parallel_launches']} sharded launches, "
+        f"{counters['pool_launches']} pool launches, "
         f"{counters['parallel_shared_bytes']} shared bytes live"
     )
     if args.command == "tune":

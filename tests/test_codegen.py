@@ -124,25 +124,35 @@ class TestEngineSelection:
         assert not isinstance(Device().executor(), CodegenExecutor)
 
     def test_codegen_composes_with_workers(self):
-        from repro.gpusim.executors import ShardedExecutor
+        from repro.gpusim.executors import PooledExecutor
 
         executor = Device(codegen=True, workers=2).executor()
         assert isinstance(executor, CodegenExecutor)
-        assert isinstance(executor._fallback, ShardedExecutor)
+        assert isinstance(executor._fallback, PooledExecutor)
 
     def test_cell_use_plans_false_with_pool(self):
-        with pytest.raises(SimulationError, match="pool"):
-            Device(use_plans=False, pool=2)
+        """Pool workers honour use_plans, so the interpreter oracle may run
+        on the pool: a valid cell, not a rejected one."""
+        from repro.gpusim.executors import PooledExecutor
+        from repro.gpusim.pool import get_worker_pool
+
+        device = Device(use_plans=False, workers=get_worker_pool(2))
+        assert isinstance(device.executor(), PooledExecutor)
+        assert device.executor_settings().use_plans is False
 
     def test_cell_collect_trace_with_workers_degrades(self):
-        """workers= is a hint; sharding has always degraded it silently
-        (pinned by tests/test_parallel.py), so no error -- serial selection."""
+        """A worker count is a hint; the pool has always been skipped
+        silently (pinned by tests/test_parallel.py), so no error -- serial
+        selection."""
         device = Device(collect_trace=True, workers=2)
         assert isinstance(device.executor(), SerialExecutor)
 
     def test_cell_collect_trace_with_pool(self):
+        """An explicit WorkerPool names an engine the trace cannot use."""
+        from repro.gpusim.pool import get_worker_pool
+
         with pytest.raises(SimulationError, match="pool"):
-            Device(collect_trace=True, pool=2)
+            Device(collect_trace=True, workers=get_worker_pool(2))
 
     def test_cell_collect_trace_with_codegen(self):
         with pytest.raises(SimulationError, match="codegen"):
@@ -162,7 +172,7 @@ class TestEngineSelection:
             validate_engine_settings(collect_trace=True, codegen=True)
         # Unset knobs (None) are never judged.
         validate_engine_settings(collect_trace=True)
-        validate_engine_settings(use_plans=False)
+        validate_engine_settings(sanitize=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for ``Device._total_time`` -- the perf-mode extrapolation.
+"""Unit tests for ``total_launch_cycles`` -- the perf-mode extrapolation.
 
 The device simulates a *sample* of CTAs and extrapolates the launch's total
 runtime: wave quantization (the critical SM executes ``ceil(launched /
@@ -14,7 +14,7 @@ import math
 import pytest
 
 from repro.gpusim.config import DEFAULT_CONFIG
-from repro.gpusim.device import Device
+from repro.gpusim.executors import ExecutorSettings, total_launch_cycles
 
 
 CFG = DEFAULT_CONFIG
@@ -23,85 +23,86 @@ CTA_OVERHEAD = CFG.cta_launch_overhead_cycles
 
 
 @pytest.fixture
-def device() -> Device:
-    return Device(mode="performance")
+def settings() -> ExecutorSettings:
+    return ExecutorSettings(config=CFG, mode="performance")
 
 
-def total(device, per_cta, launched, active=None, persistent=False,
+def total(settings, per_cta, launched, active=None, persistent=False,
           functional=False):
     active = min(CFG.num_sms, launched) if active is None else active
-    return device._total_time(per_cta, launched, active, persistent, functional)
+    return total_launch_cycles(settings, per_cta, launched, active, persistent,
+                               functional)
 
 
 class TestNonPersistentExtrapolation:
-    def test_single_cta_grid(self, device):
+    def test_single_cta_grid(self, settings):
         # One CTA on one SM: exactly one launch overhead + one CTA.
-        assert total(device, [1000.0], launched=1) == pytest.approx(
+        assert total(settings, [1000.0], launched=1) == pytest.approx(
             LAUNCH_OVERHEAD + 1000.0 + CTA_OVERHEAD)
 
-    def test_grid_smaller_than_sm_count(self, device):
+    def test_grid_smaller_than_sm_count(self, settings):
         # Fewer CTAs than SMs: every CTA gets its own SM, a single wave.
         per_cta = [1000.0, 2000.0]
         launched = CFG.num_sms // 2
         expected = LAUNCH_OVERHEAD + (1500.0 + CTA_OVERHEAD)
-        assert total(device, per_cta, launched) == pytest.approx(expected)
+        assert total(settings, per_cta, launched) == pytest.approx(expected)
 
-    def test_exact_multiple_of_sms_quantizes_to_full_waves(self, device):
+    def test_exact_multiple_of_sms_quantizes_to_full_waves(self, settings):
         # launched == 3 * num_sms: the critical SM runs exactly 3 CTAs.
         per_cta = [1000.0]
         launched = 3 * CFG.num_sms
         expected = LAUNCH_OVERHEAD + 3 * (1000.0 + CTA_OVERHEAD)
-        assert total(device, per_cta, launched) == pytest.approx(expected)
+        assert total(settings, per_cta, launched) == pytest.approx(expected)
 
-    def test_partial_last_wave_rounds_up(self, device):
+    def test_partial_last_wave_rounds_up(self, settings):
         # One CTA more than a full wave costs a whole extra wave on the
         # critical SM -- the wave-quantization cliff of Fig. 8.
         per_cta = [1000.0]
         launched = CFG.num_sms + 1
         expected = LAUNCH_OVERHEAD + 2 * (1000.0 + CTA_OVERHEAD)
-        assert total(device, per_cta, launched) == pytest.approx(expected)
+        assert total(settings, per_cta, launched) == pytest.approx(expected)
         # ... and is strictly more expensive than the full wave alone.
-        assert total(device, per_cta, launched) > total(device, per_cta, CFG.num_sms)
+        assert total(settings, per_cta, launched) > total(settings, per_cta, CFG.num_sms)
 
-    def test_wave_count_uses_ceiling(self, device):
+    def test_wave_count_uses_ceiling(self, settings):
         per_cta = [500.0]
         for launched in (1, CFG.num_sms - 1, CFG.num_sms, CFG.num_sms + 1,
                          5 * CFG.num_sms - 3):
             active = min(CFG.num_sms, launched)
             waves = math.ceil(launched / active)
             expected = LAUNCH_OVERHEAD + waves * (500.0 + CTA_OVERHEAD)
-            assert total(device, per_cta, launched) == pytest.approx(expected)
+            assert total(settings, per_cta, launched) == pytest.approx(expected)
 
-    def test_sample_mean_is_used(self, device):
+    def test_sample_mean_is_used(self, settings):
         # The simulated CTAs are a sample; the extrapolation uses their mean.
         per_cta = [100.0, 200.0, 600.0]
         launched = 2 * CFG.num_sms
         expected = LAUNCH_OVERHEAD + 2 * (300.0 + CTA_OVERHEAD)
-        assert total(device, per_cta, launched) == pytest.approx(expected)
+        assert total(settings, per_cta, launched) == pytest.approx(expected)
 
 
 class TestEdgeCases:
-    def test_empty_launch_costs_only_launch_overhead(self, device):
-        assert total(device, [], launched=0, active=0) == pytest.approx(LAUNCH_OVERHEAD)
+    def test_empty_launch_costs_only_launch_overhead(self, settings):
+        assert total(settings, [], launched=0, active=0) == pytest.approx(LAUNCH_OVERHEAD)
 
-    def test_zero_active_sms_guard(self, device):
+    def test_zero_active_sms_guard(self, settings):
         # max(1, active_sms) prevents a division by zero even for degenerate
         # active counts.
-        assert total(device, [100.0], launched=1, active=0) == pytest.approx(
+        assert total(settings, [100.0], launched=1, active=0) == pytest.approx(
             LAUNCH_OVERHEAD + 100.0 + CTA_OVERHEAD)
 
 
 class TestPersistentExtrapolation:
-    def test_critical_path_is_max_resident_cta(self, device):
+    def test_critical_path_is_max_resident_cta(self, settings):
         # One resident CTA per SM; the slowest one is the critical path and
         # the CTA launch overhead is paid once.
         per_cta = [5000.0, 7000.0, 6000.0]
         expected = LAUNCH_OVERHEAD + CTA_OVERHEAD + 7000.0
-        assert total(device, per_cta, launched=CFG.num_sms,
+        assert total(settings, per_cta, launched=CFG.num_sms,
                      persistent=True) == pytest.approx(expected)
 
-    def test_single_cta_persistent_grid(self, device):
-        assert total(device, [4000.0], launched=1, persistent=True) == pytest.approx(
+    def test_single_cta_persistent_grid(self, settings):
+        assert total(settings, [4000.0], launched=1, persistent=True) == pytest.approx(
             LAUNCH_OVERHEAD + CTA_OVERHEAD + 4000.0)
 
 
@@ -109,9 +110,9 @@ class TestFunctionalTotalTime:
     def test_functional_launch_matches_formula(self):
         # Functional mode simulates *every* CTA; the same wave-quantized
         # formula applies over the full population.
-        device = Device(mode="functional")
+        settings = ExecutorSettings(config=CFG, mode="functional")
         per_cta = [100.0 * (i + 1) for i in range(4)]
         launched = 4
         mean = sum(per_cta) / len(per_cta)
         expected = LAUNCH_OVERHEAD + mean + CTA_OVERHEAD
-        assert total(device, per_cta, launched, functional=True) == pytest.approx(expected)
+        assert total(settings, per_cta, launched, functional=True) == pytest.approx(expected)

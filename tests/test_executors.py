@@ -1,9 +1,8 @@
 """Executor-layer tests: strategy selection, launch-prep parity, pipelining.
 
-The PR-5 refactor extracted the serial / sharded launch paths out of
-``Device`` into :mod:`repro.gpusim.executors` behind one ``prepare`` /
-``run`` / ``submit`` protocol.  These tests pin the properties the
-extraction must preserve:
+The serial and pooled launch paths live in :mod:`repro.gpusim.executors`
+behind one ``prepare`` / ``run`` / ``submit`` protocol.  These tests pin the
+properties that layering must preserve:
 
 * ``Device.launch`` and ``Device.run_many`` share one launch-prep
   implementation (they used to carry clones), so the same spec produces
@@ -24,11 +23,12 @@ from repro.gpusim.engine import SimulationError
 from repro.gpusim.executors import (
     ExecutorSettings,
     InflightLaunch,
+    PooledExecutor,
     SerialExecutor,
-    ShardedExecutor,
     select_executor,
 )
 from repro.gpusim.launch import PreparedLaunch
+from repro.gpusim.pool import get_worker_pool
 from repro.kernels.gemm import GemmProblem, make_gemm_inputs, matmul_kernel
 from repro.perf.counters import COUNTERS, sim_counters
 
@@ -94,36 +94,40 @@ class TestSelection:
     def _settings(self, **kw) -> ExecutorSettings:
         defaults = dict(config=Device().config, mode="functional",
                         max_ctas_per_sm_simulated=8, collect_trace=False,
-                        use_plans=True, workers=1)
+                        use_plans=True, pool=None)
         defaults.update(kw)
         return ExecutorSettings(**defaults)
 
     def test_serial_by_default(self):
         assert isinstance(select_executor(self._settings()), SerialExecutor)
-        assert not isinstance(select_executor(self._settings()), ShardedExecutor)
+        assert not isinstance(select_executor(self._settings()), PooledExecutor)
 
     def test_sharded_for_functional_multi_worker(self):
-        ex = select_executor(self._settings(workers=4))
-        assert isinstance(ex, ShardedExecutor)
+        ex = select_executor(self._settings(pool=get_worker_pool(4)))
+        assert isinstance(ex, PooledExecutor)
 
     def test_performance_mode_never_shards(self):
-        ex = select_executor(self._settings(mode="performance", workers=4))
-        assert not isinstance(ex, ShardedExecutor)
+        ex = select_executor(self._settings(mode="performance",
+                                            pool=get_worker_pool(4)))
+        assert isinstance(ex, SerialExecutor)
+        assert not isinstance(ex, PooledExecutor)
 
     def test_trace_collection_never_shards(self):
-        ex = select_executor(self._settings(workers=4, collect_trace=True))
-        assert not isinstance(ex, ShardedExecutor)
+        ex = select_executor(self._settings(pool=get_worker_pool(4),
+                                            collect_trace=True))
+        assert isinstance(ex, SerialExecutor)
+        assert not isinstance(ex, PooledExecutor)
 
     def test_device_reselects_on_attribute_change(self):
         device = Device(mode="functional", workers=4)
-        assert isinstance(device.executor(), ShardedExecutor)
+        assert isinstance(device.executor(), PooledExecutor)
         device.workers = 1
-        assert not isinstance(device.executor(), ShardedExecutor)
+        assert not isinstance(device.executor(), PooledExecutor)
 
 
 class TestShardedFallback:
     def test_single_cta_launch_runs_serially(self):
-        """A one-CTA launch never forks even on a sharded executor."""
+        """A one-CTA launch never reaches the pool's workers."""
         device = Device(mode="functional", workers=4)
         one_cta = GemmProblem(M=32, N=32, K=32, block_m=32, block_n=32,
                               block_k=32)
@@ -131,13 +135,14 @@ class TestShardedFallback:
         assert spec.grid == 1
         [result] = device.run_many([spec])
         assert result.total_ctas == 1
-        assert COUNTERS.parallel_launches == 0
-        assert COUNTERS.parallel_workers_forked == 0
+        assert COUNTERS.pool_launches == 0
+        assert COUNTERS.pool_workers_spawned == 0
+        assert COUNTERS.pool_fallback_launches == 0  # nothing to shard
 
     def test_sharded_executor_effective_workers_cap(self, small_gemm):
         device = Device(mode="functional", workers=16)
         executor = device.executor()
-        assert isinstance(executor, ShardedExecutor)
+        assert isinstance(executor, PooledExecutor)
         prepared = executor.prepare(_gemm_spec(device, small_gemm))
         assert isinstance(prepared, PreparedLaunch)
         assert executor.effective_workers(prepared) <= len(prepared.cta_ids)

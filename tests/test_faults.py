@@ -5,9 +5,9 @@ Covered here: spec-grammar parsing and validation, matching semantics
 processes, deterministic probability draws, activation scoping
 (``inject_faults`` stack over the ``REPRO_FAULTS`` environment), counter
 sync, and the disk-tier quarantine paths the ``cache_read`` /
-``cache_write`` kinds exist to exercise.  Recovery of the *sharded
-execution* layer from injected faults lives in ``tests/test_parallel.py``
-and ``tests/test_fuzz_differential.py``.
+``cache_write`` kinds exist to exercise.  Recovery of the *worker pool*
+from injected faults lives in ``tests/test_parallel.py``,
+``tests/test_pool.py`` and ``tests/test_fuzz_differential.py``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
-"""Differential fuzzing: interpreter vs. plans vs. sharded vs. pooled vs. codegen.
+"""Differential fuzzing: interpreter vs. plans vs. pooled vs. codegen.
 
 Randomized small kernels and grids (seeded, so every CI run reproduces the
-same cases) are executed through the simulator's five functional execution
+same cases) are executed through the simulator's four functional execution
 paths:
 
 * the IR interpreter (``use_plans=False``) -- the semantics oracle,
 * compile-once execution plans (``use_plans=True``),
-* sharded multi-process execution (``workers=2`` on top of plans),
-* persistent-pool execution (``pool=2``: long-lived workers and the
-  reusable shared arena, :mod:`repro.gpusim.pool`), and
+* persistent-pool execution (``workers=2`` on top of plans: long-lived
+  workers and the reusable shared arena, :mod:`repro.gpusim.pool`), and
 * vectorized codegen (``codegen=True``: one generated NumPy batch call per
   launch, :mod:`repro.gpusim.codegen`, falling back to plans for kernels the
   emitter cannot vectorize -- the fallback path is differential-tested too),
@@ -33,13 +32,14 @@ Two kernel families are fuzzed:
 * *splitk* -- the split-K GEMM **two-launch pipeline** (partial products +
   reduction epilogue) with randomized split counts and tile shapes,
   submitted through ``Device.run_many``; exercises cross-launch buffer
-  reuse under sharding and the reduction-epilogue accumulation order.
+  reuse under pooled execution and the reduction-epilogue accumulation
+  order.
 * *chaos* -- a seeded GEMM case with **one random injected fault**
   (worker kill, worker hang or pipe corruption, via :mod:`repro.faults`)
-  per iteration: the sharded launch -- and the pooled launch, where the
-  same fault respawns a persistent worker instead of re-forking -- must
-  recover (retry, or degrade to the in-process serial fallback) and still
-  produce an :class:`Observation` bit-identical to the serial plans engine.
+  per iteration: the pooled launch, where the fault respawns a persistent
+  worker, must recover (retry, or degrade to the in-process serial
+  fallback) and still produce an :class:`Observation` bit-identical to the
+  serial plans engine.
 
 On failure the harness *shrinks* the case (halving sizes, simplifying ops
 and options) and reports the smallest configuration that still disagrees,
@@ -69,7 +69,7 @@ BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20260726"))
 CASES_PER_FAMILY = int(os.environ.get("REPRO_FUZZ_CASES", "5"))
 MAX_SHRINK_STEPS = 24
 
-ENGINES = ("interpreter", "plans", "sharded", "pooled", "codegen")
+ENGINES = ("interpreter", "plans", "pooled", "codegen")
 
 
 def _device(engine: str) -> Device:
@@ -77,11 +77,9 @@ def _device(engine: str) -> Device:
         return Device(mode="functional", use_plans=False, workers=1)
     if engine == "plans":
         return Device(mode="functional", use_plans=True, workers=1)
-    if engine == "sharded":
-        return Device(mode="functional", use_plans=True, workers=2)
     if engine == "codegen":
         return Device(mode="functional", use_plans=True, workers=1, codegen=True)
-    return Device(mode="functional", use_plans=True, workers=1, pool=2)
+    return Device(mode="functional", use_plans=True, workers=2)
 
 
 @dataclass(frozen=True)
@@ -481,7 +479,7 @@ class SplitKCase:
 
 
 # ---------------------------------------------------------------------------
-# Family 5: chaos -- sharded execution with one injected fault per case
+# Family 5: chaos -- pooled execution with one injected fault per case
 # ---------------------------------------------------------------------------
 
 _CHAOS_FAULT_KINDS = ("kill", "hang", "pipe")
@@ -494,7 +492,7 @@ _CHAOS_TIMEOUT = 0.5
 
 @dataclass(frozen=True)
 class ChaosCase:
-    """A sharded GEMM launch with one randomly-placed injected fault.
+    """A pooled GEMM launch with one randomly-placed injected fault.
 
     The fault targets a random worker (and, for kill/hang, a random CTA
     ordinal within its shard -- which may not exist, in which case nothing
@@ -533,11 +531,8 @@ class ChaosCase:
                 f"cta={self.fault_cta},seconds=60")
 
     def execute(self, engine: str) -> Observation:
-        if engine == "sharded":
+        if engine == "pooled":
             device = Device(mode="functional", use_plans=True, workers=2,
-                            shard_timeout=_CHAOS_TIMEOUT, shard_retries=2)
-        elif engine == "pooled":
-            device = Device(mode="functional", use_plans=True, pool=2,
                             shard_timeout=_CHAOS_TIMEOUT, shard_retries=2)
         else:
             return self.gemm.execute(engine)

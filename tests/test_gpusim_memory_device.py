@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.options import CompileOptions, NAIVE_OPTIONS
-from repro.gpusim.device import Device, _linear_to_pid, _normalize_grid
+from repro.gpusim.device import Device
 from repro.gpusim.engine import SimulationError
+from repro.gpusim.launch import linear_to_pid, normalize_grid
 from repro.gpusim.memory import GlobalBuffer, Pointer, SmemTile, SymbolicTile, TensorDesc
 from repro.ir.types import PointerType, TensorDescType, f8e4m3, f16
 from repro.kernels.gemm import GemmProblem, make_gemm_inputs, matmul_kernel
@@ -76,13 +77,13 @@ class TestSmemAndPointers:
 
 class TestDeviceAPI:
     def test_grid_normalization(self):
-        assert _normalize_grid(8) == (8, 1, 1)
-        assert _normalize_grid((2, 3)) == (2, 3, 1)
+        assert normalize_grid(8) == (8, 1, 1)
+        assert normalize_grid((2, 3)) == (2, 3, 1)
         with pytest.raises(SimulationError):
-            _normalize_grid((0,))
+            normalize_grid((0,))
 
     def test_linear_to_pid(self):
-        assert _linear_to_pid(5, (4, 2, 1)) == (1, 1, 0)
+        assert linear_to_pid(5, (4, 2, 1)) == (1, 1, 0)
 
     def test_infer_arg_types(self):
         dev = Device(mode="functional")

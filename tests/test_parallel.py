@@ -1,10 +1,17 @@
-"""Sharded multi-process execution and the batched launch API.
+"""Pooled multi-process execution, its supervision, and the batched launch API.
 
-The contract under test: sharding a functional launch across worker
-processes is *observationally invisible* -- outputs, per-CTA cycle counts,
-total cycles and utilization are bit-identical to serial execution -- and the
+The contract under test: sharding a functional launch across the persistent
+worker pool (``Device(workers=N)``, :mod:`repro.gpusim.pool`) is
+*observationally invisible* -- outputs, per-CTA cycle counts, total cycles
+and utilization are bit-identical to serial execution, including after the
+supervisor recovered from a killed, hung or pipe-corrupting worker -- and the
 batched ``run_many`` / ``LaunchBatch`` API returns exactly what the same
 launches would return one at a time.
+
+Several tests replace the per-CTA simulation (``ExecutorBase.run_one_cta``)
+with a tiny deterministic function.  Pool workers fork lazily at the first
+dispatch, so they inherit the replacement, and each test gets a fresh pool
+(the conftest shuts every process-global pool down between tests).
 """
 
 from __future__ import annotations
@@ -20,23 +27,24 @@ import pytest
 from repro import faults
 from repro.core.options import CompileOptions
 from repro.frontend.errors import FrontendError
+from repro.gpusim import pool as pool_mod
 from repro.gpusim.device import Device, LaunchSpec
 from repro.gpusim.engine import SimulationError
-from repro.gpusim.memory import GlobalBuffer, shared_ndarray
+from repro.gpusim.executors import ExecutorBase, PooledExecutor
+from repro.gpusim.memory import SharedArena
 from repro.gpusim.parallel import (
     BACKOFF,
     CtaShard,
     MERGED,
-    ParallelLaunch,
     RUNNING,
     SupervisorConfig,
     fork_available,
     resolve_shard_retries,
     resolve_shard_timeout,
     resolve_workers,
-    run_sharded,
     shard_cta_ids,
 )
+from repro.gpusim.pool import shutdown_pools
 from repro.kernels.attention import AttentionProblem, run_attention
 from repro.kernels.gemm import GemmProblem, gemm_reference, make_gemm_inputs, \
     matmul_kernel, run_gemm
@@ -46,6 +54,53 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="requires fork()")
 
 WS_OPTIONS = CompileOptions(enable_warp_specialization=True, aref_depth=2,
                             mma_pipeline_depth=2, num_consumer_groups=2)
+
+
+def _identity_cta(linear):
+    return (float(linear), 0.0, linear)
+
+
+def _patch_cta(monkeypatch, fn) -> None:
+    """Make every CTA simulate as ``fn(linear)``, in this process and in
+    every pool worker forked afterwards."""
+    monkeypatch.setattr(ExecutorBase, "run_one_cta",
+                        lambda self, prepared, linear: fn(linear))
+
+
+def _spec(device: Device, n_ctas: int) -> LaunchSpec:
+    """A plain GEMM launch with exactly ``n_ctas`` CTAs."""
+    problem = GemmProblem(M=32 * n_ctas, N=32, K=32, block_m=32, block_n=32,
+                          block_k=32)
+    args, _, _ = make_gemm_inputs(problem, device)
+    return LaunchSpec(matmul_kernel, problem.grid, args, problem.constexprs(),
+                      CompileOptions())
+
+
+def _run(device: Device, n_ctas: int):
+    return device.run_many([_spec(device, n_ctas)])[0]
+
+
+def _assert_identity_rows(result, n_ctas: int) -> None:
+    """The launch merged ``_identity_cta`` rows of every CTA in launch order."""
+    assert result.per_cta_cycles == [float(i) for i in range(n_ctas)]
+    assert result.bytes_copied == sum(range(n_ctas))
+
+
+def _submit(device: Device, spec: LaunchSpec):
+    """Submit one launch through the device's executor; the in-flight handle."""
+    executor = device.executor()
+    return executor.submit(executor.prepare(spec))
+
+
+@pytest.fixture
+def identity_ctas(monkeypatch):
+    _patch_cta(monkeypatch, _identity_cta)
+
+
+def _supervise(monkeypatch, **policy) -> None:
+    """Run pooled launches under an explicit :class:`SupervisorConfig`."""
+    monkeypatch.setattr(PooledExecutor, "supervisor_config",
+                        lambda self: SupervisorConfig(**policy))
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +203,12 @@ class TestShardingPrimitives:
 
 
 class TestSharedBuffers:
-    def test_make_shared_preserves_contents(self):
-        data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        buf = GlobalBuffer.from_numpy(data, "f32", "x")
-        assert not buf.is_shared
-        buf.make_shared()
-        assert buf.is_shared
-        assert np.array_equal(buf.to_numpy(), data)
-        buf.make_shared()  # idempotent
-        assert buf.is_shared
-
-    def test_make_shared_noop_in_performance_mode(self):
-        buf = GlobalBuffer((4, 4), "f16", None, "sym")
-        buf.make_shared()
-        assert not buf.is_shared
-
-    def test_release_shared_round_trip(self):
-        data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        buf = GlobalBuffer.from_numpy(data, "f32", "x")
-        buf.make_shared()
-        assert COUNTERS.parallel_shared_bytes > 0
-        buf.to_numpy()[1, 2] = 99.0  # a "worker" write into the mapping
-        buf.release_shared()
-        assert not buf.is_shared
-        assert COUNTERS.parallel_shared_bytes == 0
-        # Contents (including the in-mapping write) survive re-privatization.
-        assert buf.to_numpy()[1, 2] == 99.0
-        assert np.array_equal(np.delete(buf.to_numpy().ravel(), 6),
-                              np.delete(data.ravel(), 6))
-        buf.release_shared()  # idempotent
-        assert COUNTERS.parallel_shared_bytes == 0
-
-    def test_release_shared_closes_the_mapping(self):
-        buf = GlobalBuffer.from_numpy(np.zeros((4, 4), np.float32), "f32", "x")
-        buf.make_shared()
-        backing = buf._shared_backing
-        assert backing is not None and not backing.closed
-        buf.release_shared()
-        assert backing.closed
-        assert buf._shared_backing is None
-
-    def test_shared_bytes_gauge_tracks_multiple_buffers(self):
-        bufs = [GlobalBuffer.from_numpy(np.zeros(64, np.float32), "f32", f"b{i}")
-                for i in range(3)]
-        for b in bufs:
-            b.make_shared()
-        live = COUNTERS.parallel_shared_bytes
-        assert live >= 3 * 64 * 4
-        for b in bufs:
-            b.release_shared()
-        assert COUNTERS.parallel_shared_bytes == 0
-
     @needs_fork
     def test_fork_sees_writes_to_shared_array(self):
-        arr = shared_ndarray((8,), np.float32)
+        """The pool's arena is inherited by fork: a child's writes into an
+        arena view reach the parent, unlike writes to private memory."""
+        arena = SharedArena(1 << 12)
+        arr = arena.view(0, (8,), np.float32)
         arr[:] = 0.0
 
         def child():
@@ -222,71 +229,91 @@ class TestSharedBuffers:
         proc.start()
         proc.join()
         assert private[3] == 0.0
+        del arr
+        arena.close()
 
 
 # ---------------------------------------------------------------------------
-# ParallelLaunch mechanics
+# Pool launch mechanics
 # ---------------------------------------------------------------------------
 
 
 @needs_fork
 class TestParallelLaunch:
-    def test_merges_rows_in_launch_order(self):
-        def run_cta(linear):
-            return (float(linear) * 10.0, 1.0, linear)
+    def test_merges_rows_in_launch_order(self, monkeypatch):
+        """Round-robin shards come back per worker; the merge restores the
+        launch's CTA order."""
+        _patch_cta(monkeypatch, lambda linear: (linear * 10.0, 1.0, linear))
+        result = _run(Device(mode="functional", workers=2), 4)
+        assert COUNTERS.pool_launches == 1
+        assert result.per_cta_cycles == [0.0, 10.0, 20.0, 30.0]
+        assert result.tensor_core_busy_cycles == 4.0
+        assert result.bytes_copied == 6
 
-        rows = run_sharded(run_cta, [4, 2, 7, 0], 2)
-        assert rows == [(40.0, 1.0, 4), (20.0, 1.0, 2), (70.0, 1.0, 7), (0.0, 1.0, 0)]
-
-    def test_worker_counter_deltas_are_merged(self):
+    def test_worker_counter_deltas_are_merged(self, monkeypatch):
         def run_cta(linear):
             COUNTERS.plan_ctas += 1
             return (1.0, 0.0, 0)
 
-        before = COUNTERS.plan_ctas
-        run_sharded(run_cta, list(range(6)), 3)
-        assert COUNTERS.plan_ctas == before + 6
-        assert COUNTERS.parallel_launches >= 1
-        assert COUNTERS.parallel_workers_forked >= 3
+        _patch_cta(monkeypatch, run_cta)
+        _run(Device(mode="functional", workers=3), 6)
+        assert COUNTERS.plan_ctas == 6  # every CTA ran in a worker
+        assert COUNTERS.pool_launches == 1
+        assert COUNTERS.pool_workers_spawned == 3
 
-    def test_worker_exception_propagates(self):
+    def test_worker_exception_propagates(self, monkeypatch):
         def run_cta(linear):
             if linear == 3:
                 raise ValueError("boom in CTA 3")
             return (1.0, 0.0, 0)
 
+        _patch_cta(monkeypatch, run_cta)
         with pytest.raises(SimulationError, match="boom in CTA 3"):
-            run_sharded(run_cta, list(range(5)), 2)
+            _run(Device(mode="functional", workers=2), 5)
 
-    def test_dead_worker_is_recovered(self):
+    def test_dead_worker_is_recovered(self, monkeypatch):
         """A worker that dies without reporting no longer kills the launch.
 
-        Every forked attempt dies (the exit is pid-guarded so the parent's
-        terminal serial fallback survives); the launch must still complete
-        with correct rows, through retries and then the in-process fallback.
+        Every pool-worker attempt dies (the exit is pid-guarded so the
+        parent's terminal serial fallback survives); the launch must still
+        complete with correct rows, through retries and then the in-process
+        fallback.
         """
         parent = os.getpid()
 
         def run_cta(linear):
             if os.getpid() != parent:
                 os._exit(17)  # die without reporting, but only in a worker
-            return (float(linear), 0.0, linear)
+            return _identity_cta(linear)
 
-        before = (COUNTERS.shard_retries, COUNTERS.shard_serial_fallbacks)
-        rows = run_sharded(run_cta, [0, 1], 2,
-                           supervisor=SupervisorConfig(timeout=30, retries=1,
-                                                       backoff=0.01))
-        assert rows == [(0.0, 0.0, 0), (1.0, 0.0, 1)]
-        # both shards died on every fork: retried once each, then fell back
-        assert COUNTERS.shard_retries == before[0] + 2
-        assert COUNTERS.shard_serial_fallbacks == before[1] + 2
+        _patch_cta(monkeypatch, run_cta)
+        result = _run(Device(mode="functional", workers=2, shard_retries=1), 2)
+        _assert_identity_rows(result, 2)
+        # both shards died on every attempt: retried once each, then fell back
+        assert COUNTERS.shard_retries == 2
+        assert COUNTERS.shard_serial_fallbacks == 2
 
     def test_overlapped_launches(self):
-        """Two ParallelLaunches can be in flight at once (run_many pipelining)."""
-        first = ParallelLaunch(lambda i: (float(i), 0.0, 0), [0, 1, 2], 2)
-        second = ParallelLaunch(lambda i: (float(i) * 2, 0.0, 0), [0, 1], 2)
-        assert second.wait() == [(0.0, 0.0, 0), (2.0, 0.0, 0)]
-        assert first.wait() == [(0.0, 0.0, 0), (1.0, 0.0, 0), (2.0, 0.0, 0)]
+        """A launch submitted while another owns the pool runs serially in
+        the caller instead of colliding; both stay bit-identical."""
+        device = Device(mode="functional", workers=2)
+        serial = Device(mode="functional", workers=1)
+        problems = [GemmProblem(M=128, N=128, K=k, block_m=64, block_n=64,
+                                block_k=32) for k in (64, 128)]
+        specs = []
+        for problem in problems:
+            args, _, _ = make_gemm_inputs(problem, device)
+            specs.append(LaunchSpec(matmul_kernel, problem.grid, args,
+                                    problem.constexprs(), WS_OPTIONS))
+        first = _submit(device, specs[0])
+        second = _submit(device, specs[1])
+        assert not first.done and second.done  # the pool was busy
+        assert COUNTERS.pool_busy_rejections == 1
+        for inflight, spec, problem in zip((first, second), specs, problems):
+            result = inflight.collect()
+            expected, c = run_gemm(serial, problem, WS_OPTIONS)
+            assert result.per_cta_cycles == expected.per_cta_cycles
+            assert np.array_equal(spec.args["c_ptr"].buffer.to_numpy(), c)
 
 
 # ---------------------------------------------------------------------------
@@ -294,118 +321,103 @@ class TestParallelLaunch:
 # ---------------------------------------------------------------------------
 
 
-def _identity_cta(linear):
-    return (float(linear), 0.0, linear)
-
-
 @needs_fork
 class TestSupervision:
     """The supervised launch recovers from infrastructure failures.
 
-    Faults are injected through :mod:`repro.faults` (fork-shared budgets, so
-    a fault consumed by one attempt is not re-triggered by its retry) and the
-    launch must always produce the same rows serial execution would.
+    Faults are injected through :mod:`repro.faults` (parent-owned budgets,
+    so a fault consumed by one attempt is not re-triggered by its retry) and
+    the launch must always produce the same rows serial execution would.
     """
 
-    FAST = SupervisorConfig(timeout=30.0, retries=2, backoff=0.01)
-
-    def test_injected_kill_is_retried(self):
+    def test_injected_kill_is_retried(self, identity_ctas):
         with faults.inject_faults("kill:worker=1,cta=0"):
-            rows = run_sharded(_identity_cta, list(range(8)), 3,
-                               supervisor=self.FAST)
-        assert rows == [_identity_cta(i) for i in range(8)]
+            result = _run(Device(workers=3, shard_retries=2), 8)
+        _assert_identity_rows(result, 8)
         assert COUNTERS.shard_retries == 1
         assert COUNTERS.shard_serial_fallbacks == 0
         assert COUNTERS.faults_injected == 1
 
-    def test_injected_hang_trips_the_deadline(self):
+    def test_injected_hang_trips_the_deadline(self, identity_ctas):
         with faults.inject_faults("hang:worker=0,cta=1,seconds=60"):
-            rows = run_sharded(
-                _identity_cta, list(range(6)), 2,
-                supervisor=SupervisorConfig(timeout=0.4, retries=2,
-                                            backoff=0.01))
-        assert rows == [_identity_cta(i) for i in range(6)]
+            result = _run(Device(workers=2, shard_timeout=0.4,
+                                 shard_retries=2), 6)
+        _assert_identity_rows(result, 6)
         assert COUNTERS.shard_timeouts == 1
         assert COUNTERS.shard_retries == 1
         assert COUNTERS.faults_injected == 1
 
-    def test_injected_pipe_corruption_is_retried(self):
+    def test_injected_pipe_corruption_is_retried(self, identity_ctas):
         with faults.inject_faults("pipe:worker=1"):
-            rows = run_sharded(_identity_cta, list(range(6)), 2,
-                               supervisor=self.FAST)
-        assert rows == [_identity_cta(i) for i in range(6)]
+            result = _run(Device(workers=2, shard_retries=2), 6)
+        _assert_identity_rows(result, 6)
         assert COUNTERS.shard_retries == 1
         assert COUNTERS.faults_injected == 1
 
-    def test_exhausted_retries_degrade_to_serial_fallback(self):
-        """A shard that dies on every fork is re-executed in the parent."""
+    def test_exhausted_retries_degrade_to_serial_fallback(self, identity_ctas):
+        """A shard whose worker dies on every attempt re-executes in the
+        parent."""
         with faults.inject_faults("kill:worker=0,count=-1"):
-            rows = run_sharded(
-                _identity_cta, list(range(6)), 2,
-                supervisor=SupervisorConfig(timeout=30, retries=2,
-                                            backoff=0.01))
-        assert rows == [_identity_cta(i) for i in range(6)]
+            result = _run(Device(workers=2, shard_retries=2), 6)
+        _assert_identity_rows(result, 6)
         assert COUNTERS.shard_retries == 2
         assert COUNTERS.shard_serial_fallbacks == 1
-        # initial fork + 2 retries of worker 0 each consumed one kill
+        # first attempt + 2 retries of worker 0 each consumed one kill
         assert COUNTERS.faults_injected == 3
 
-    def test_zero_retries_fall_back_immediately(self):
+    def test_zero_retries_fall_back_immediately(self, identity_ctas):
         with faults.inject_faults("kill:worker=0"):
-            rows = run_sharded(
-                _identity_cta, [0, 1], 2,
-                supervisor=SupervisorConfig(timeout=30, retries=0))
-        assert rows == [_identity_cta(0), _identity_cta(1)]
+            result = _run(Device(workers=2, shard_retries=0), 2)
+        _assert_identity_rows(result, 2)
         assert COUNTERS.shard_retries == 0
         assert COUNTERS.shard_serial_fallbacks == 1
 
-    def test_only_the_failed_shard_is_retried(self):
-        """Surviving shards merge once; only the killed shard re-forks."""
+    def test_only_the_failed_shard_is_retried(self, identity_ctas):
+        """Surviving shards merge once; only the killed worker respawns."""
+        device = Device(workers=3, shard_retries=2)
         with faults.inject_faults("kill:worker=2,cta=0"):
-            launch = ParallelLaunch(_identity_cta, list(range(9)), 3,
-                                    supervisor=self.FAST)
-            rows = launch.wait()
-        assert rows == [_identity_cta(i) for i in range(9)]
-        assert launch.shard_states() == {0: MERGED, 1: MERGED, 2: MERGED}
-        # 3 initial forks + exactly one re-fork
-        assert COUNTERS.parallel_workers_forked == 4
+            inflight = _submit(device, _spec(device, 9))
+            result = inflight.collect()
+        _assert_identity_rows(result, 9)
+        assert inflight._launched.shard_states() == {0: MERGED, 1: MERGED,
+                                                     2: MERGED}
+        # 3 initial spawns + exactly one respawn
+        assert COUNTERS.pool_workers_spawned == 4
+        assert COUNTERS.pool_worker_respawns == 1
 
-    def test_worker_error_is_not_retried(self):
+    def test_worker_error_is_not_retried(self, monkeypatch):
         """A worker-*reported* exception is deterministic; fail fast."""
         def run_cta(linear):
             if linear == 3:
                 raise ValueError("boom in CTA 3")
             return _identity_cta(linear)
 
+        _patch_cta(monkeypatch, run_cta)
         with pytest.raises(SimulationError, match="boom in CTA 3"):
-            run_sharded(run_cta, list(range(5)), 2, supervisor=self.FAST)
+            _run(Device(workers=2, shard_retries=2), 5)
         assert COUNTERS.shard_retries == 0
         assert COUNTERS.shard_serial_fallbacks == 0
 
-    def test_disabled_deadline_still_recovers_from_death(self):
+    def test_disabled_deadline_still_recovers_from_death(self, identity_ctas):
         """timeout=0 turns off hang detection, not death detection."""
         with faults.inject_faults("kill:worker=0,cta=0"):
-            rows = run_sharded(
-                _identity_cta, [0, 1, 2], 2,
-                supervisor=SupervisorConfig(timeout=0, retries=1,
-                                            backoff=0.01))
-        assert rows == [_identity_cta(i) for i in range(3)]
+            result = _run(Device(workers=2, shard_timeout=0,
+                                 shard_retries=1), 3)
+        _assert_identity_rows(result, 3)
         assert COUNTERS.shard_retries == 1
         assert COUNTERS.shard_timeouts == 0
 
-    def test_heartbeats_keep_long_shards_alive(self):
+    def test_heartbeats_keep_long_shards_alive(self, monkeypatch):
         """A shard far outliving the deadline survives while it progresses."""
         def slow_cta(linear):
-            import time
-
-            time.sleep(0.12)
+            time.sleep(0.15)
             return _identity_cta(linear)
 
-        # 8 CTAs x 0.12s on one worker ~ 1s of work against a 0.4s deadline:
+        _patch_cta(monkeypatch, slow_cta)
+        # 4 CTAs x 0.15s per worker ~ 0.6s of work against a 0.4s deadline:
         # without heartbeats (interval = 0.1s) this would be declared hung.
-        rows = run_sharded(slow_cta, list(range(8)), 1,
-                           supervisor=SupervisorConfig(timeout=0.4, retries=0))
-        assert rows == [_identity_cta(i) for i in range(8)]
+        result = _run(Device(workers=2, shard_timeout=0.4, shard_retries=0), 8)
+        _assert_identity_rows(result, 8)
         assert COUNTERS.shard_timeouts == 0
         assert COUNTERS.shard_serial_fallbacks == 0
 
@@ -424,7 +436,7 @@ class TestSupervision:
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
         assert r_p.bytes_copied == r_s.bytes_copied
         assert np.array_equal(c_p, c_s)
-        assert COUNTERS.parallel_shared_bytes == 0
+        assert COUNTERS.parallel_shared_bytes == device.pool.arena.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +450,27 @@ class TestSupervisionLoopRegressions:
     and only heartbeats that report *new* progress extend a shard's hang
     deadline."""
 
-    def test_kill_then_backoff_launch_has_bounded_drains(self):
+    def test_kill_then_backoff_launch_has_bounded_drains(self, monkeypatch,
+                                                         identity_ctas):
         """A launch waiting out retry backoffs must sleep, not busy-spin."""
+        _supervise(monkeypatch, timeout=30, retries=2, backoff=0.15)
+        device = Device(workers=2)
         with faults.inject_faults("kill:worker=0,count=-1"):
-            launch = ParallelLaunch(
-                _identity_cta, list(range(6)), 2,
-                supervisor=SupervisorConfig(timeout=30, retries=2,
-                                            backoff=0.15))
-            rows = launch.wait()
-        assert rows == [_identity_cta(i) for i in range(6)]
+            inflight = _submit(device, _spec(device, 6))
+            result = inflight.collect()
+        _assert_identity_rows(result, 6)
         assert COUNTERS.shard_retries == 2
         # Three attempts of worker 0 with ~0.15s/0.3s backoffs between them:
         # every drain either receives a message or sleeps a bounded tick, so
         # the count stays small.  A drain that returns without sleeping
         # would spin the wait loop and record tens of thousands here.
-        assert launch.drain_calls < 60
+        assert inflight._launched.drain_calls < 60
 
-    def _merged_launch(self, supervisor=None) -> ParallelLaunch:
-        launch = ParallelLaunch(_identity_cta, [0, 1], 2, supervisor=supervisor)
-        launch.wait()
-        return launch
+    def _merged_launch(self, **device_kw) -> pool_mod.PoolLaunch:
+        device = Device(workers=2, **device_kw)
+        inflight = _submit(device, _spec(device, 2))
+        inflight.collect()
+        return inflight._launched
 
     def test_drain_sleeps_a_fixed_tick_when_nothing_is_due(self):
         """No live pipes and no finite horizon: drain must still sleep.
@@ -506,31 +519,29 @@ class TestSupervisionLoopRegressions:
         The unfixed handler refreshed it on *any* heartbeat, so a worker
         beating while stuck (injected hang, livelocked CTA) never timed out.
         """
-        launch = self._merged_launch(
-            supervisor=SupervisorConfig(timeout=5.0))
+        launch = self._merged_launch(shard_timeout=5.0)
         state = launch._states[0]
         state.status = RUNNING
         state.last_progress = 2
         state.deadline = frozen = time.monotonic() + 0.25
-        launch._handle(state, ("hb", 0, 2), {})  # chatter, no progress
+        beat = launch.launch_id
+        launch._handle(state, ("hb", beat, 0, 2), {})  # chatter, no progress
         assert state.deadline == frozen
-        launch._handle(state, ("hb", 0, 1), {})  # stale/reordered report
+        launch._handle(state, ("hb", beat, 0, 1), {})  # stale/reordered report
         assert state.deadline == frozen
         assert state.last_progress == 2
-        launch._handle(state, ("hb", 0, 3), {})  # real progress
+        launch._handle(state, ("hb", beat, 0, 3), {})  # real progress
         assert state.deadline > frozen
         state.status = MERGED
 
-    def test_hang_that_heartbeats_still_times_out(self):
+    def test_hang_that_heartbeats_still_times_out(self, identity_ctas):
         """An injected hang beats without progress; the deadline must see
         through the chatter and still declare the shard hung."""
         start = time.monotonic()
         with faults.inject_faults("hang:worker=0,cta=0,seconds=60"):
-            rows = run_sharded(
-                _identity_cta, list(range(6)), 2,
-                supervisor=SupervisorConfig(timeout=0.5, retries=1,
-                                            backoff=0.01))
-        assert rows == [_identity_cta(i) for i in range(6)]
+            result = _run(Device(workers=2, shard_timeout=0.5,
+                                 shard_retries=1), 6)
+        _assert_identity_rows(result, 6)
         assert COUNTERS.shard_timeouts == 1
         assert COUNTERS.shard_retries == 1
         assert COUNTERS.faults_injected == 1
@@ -539,7 +550,7 @@ class TestSupervisionLoopRegressions:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identical sharded kernel execution
+# Bit-identical pooled kernel execution
 # ---------------------------------------------------------------------------
 
 
@@ -556,6 +567,7 @@ class TestShardedLaunchesBitIdentical:
                             problem, WS_OPTIONS)
         r_p, c_p = run_gemm(Device(mode="functional", use_plans=use_plans, workers=2),
                             problem, WS_OPTIONS)
+        assert COUNTERS.pool_launches == 1
         assert r_p.cycles == r_s.cycles
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
         assert r_p.tensor_core_utilization == r_s.tensor_core_utilization
@@ -581,6 +593,7 @@ class TestShardedLaunchesBitIdentical:
                                  coarse_grained_pipelining=True)
         r_s, o_s = run_attention(Device(mode="functional", workers=1), problem, options)
         r_p, o_p = run_attention(Device(mode="functional", workers=3), problem, options)
+        assert COUNTERS.pool_launches == 1
         assert r_p.cycles == r_s.cycles
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
         assert np.array_equal(o_p, o_s)
@@ -597,17 +610,17 @@ class TestShardedLaunchesBitIdentical:
 
     def test_performance_mode_stays_serial(self):
         problem = GemmProblem(M=2048, N=2048, K=512)
-        before = COUNTERS.parallel_launches
         device = Device(mode="performance", workers=4, max_ctas_per_sm_simulated=2)
         run_gemm(device, problem, WS_OPTIONS)
-        assert COUNTERS.parallel_launches == before
+        assert COUNTERS.pool_launches == 0
+        assert COUNTERS.pool_workers_spawned == 0
 
     def test_trace_collection_stays_serial(self):
         problem = self._gemm()
-        before = COUNTERS.parallel_launches
         device = Device(mode="functional", workers=2, collect_trace=True)
         result, _ = run_gemm(device, problem, WS_OPTIONS)
-        assert COUNTERS.parallel_launches == before
+        assert COUNTERS.pool_launches == 0
+        assert COUNTERS.pool_workers_spawned == 0
         assert result.trace  # the serial path still collected a trace
 
 
@@ -664,7 +677,7 @@ class TestRunMany:
 
     @needs_fork
     def test_dependent_launches_see_completed_outputs(self):
-        """A later launch may consume an earlier sharded launch's output."""
+        """A later launch may consume an earlier pooled launch's output."""
         device = Device(mode="functional", workers=2)
         first = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
                             block_k=32)
@@ -713,6 +726,15 @@ class TestRunMany:
                          WS_OPTIONS)
         with pytest.raises(FrontendError, match="missing types"):
             device.run_many(good + [bad])
+        # The in-flight launch was aborted: its busy workers were reaped, the
+        # pool is released and its arena evacuated ...
+        pool = device.pool
+        assert COUNTERS.pool_launches == 1
+        assert not pool.busy and pool.arena.used == 0
+        assert not any(pool.worker(i).busy for i in range(pool.size))
+        assert len(mp.active_children()) <= pool.size
+        # ... and nothing outlives the pool itself.
+        shutdown_pools()
         for proc in mp.active_children():
             proc.join(timeout=5)
         assert not mp.active_children()
@@ -740,36 +762,60 @@ class TestRunMany:
 
 @needs_fork
 class TestSharedMappingLifecycle:
-    """Sharded launches must not accumulate live MAP_SHARED mappings.
+    """Pooled launches must not leak arena residency or accumulate mappings.
 
-    Before the deterministic-release fix, every sharded launch left its
-    buffers backed by anonymous shared mmaps until GC happened to collect
-    them; a long batched sweep therefore held an unbounded number of live
-    mappings.  Now the device re-privatizes every launch buffer right after
-    the post-fork merge, observable through the ``parallel_shared_bytes``
-    gauge in :func:`repro.perf.counters.sim_counters`.
+    Every launch places its buffers into the pool's one reusable shared
+    arena and must evacuate them back to private memory -- and recycle the
+    arena -- on every exit path: merge, retry, timeout, serial fallback,
+    dispatch failure and abort.  The ``parallel_shared_bytes`` gauge counts
+    exactly one arena while the pool is open and returns to its pre-pool
+    value once it shuts down.
     """
 
-    def test_single_sharded_launch_releases_buffers(self):
-        device = Device(mode="functional", workers=2)
+    def _gemm_spec(self, device):
         problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
                               block_k=32)
         args, a, b = make_gemm_inputs(problem, device)
+        return problem, args, a, b
+
+    def _run(self, device, problem, args):
         device.run(matmul_kernel, problem.grid, args, problem.constexprs(),
                    WS_OPTIONS)
-        assert COUNTERS.parallel_launches == 1
+
+    def _assert_private(self, device, *arg_sets) -> None:
+        """Launch buffers are private again and the pool is free to reuse."""
+        pool = device.pool
+        assert not pool.busy
+        assert pool.arena.used == 0
+        for args in arg_sets:
+            for value in args.values():
+                if hasattr(value, "buffer"):
+                    assert value.buffer.data.base is None  # no arena view leaks
+
+    def _assert_gauge_returns(self, device) -> None:
+        """One live arena while the pool is open; the pre-pool value after."""
+        assert COUNTERS.parallel_shared_bytes == device.pool.arena.nbytes
+        shutdown_pools()
         assert COUNTERS.parallel_shared_bytes == 0
-        for value in args.values():
-            if hasattr(value, "buffer"):
-                assert not value.buffer.is_shared
-        # ... and the worker-written outputs survived re-privatization.
+
+    def _assert_correct(self, problem, args, a, b) -> None:
         np.testing.assert_allclose(
             args["c_ptr"].buffer.to_numpy().astype(np.float32),
             gemm_reference(a, b, problem.dtype).astype(np.float32),
             rtol=2e-2, atol=2e-2)
 
+    def test_single_sharded_launch_releases_buffers(self):
+        device = Device(mode="functional", workers=2)
+        problem, args, a, b = self._gemm_spec(device)
+        self._run(device, problem, args)
+        assert COUNTERS.pool_launches == 1
+        self._assert_private(device, args)
+        # ... and the worker-written outputs survived the copy-out.
+        self._assert_correct(problem, args, a, b)
+        self._assert_gauge_returns(device)
+
     def test_long_batched_sweep_does_not_accumulate_mappings(self):
-        """A 12-launch sharded sweep ends with zero live shared bytes."""
+        """A 12-launch pooled sweep reuses one arena mapping throughout."""
         device = Device(mode="functional", workers=2)
         specs = []
         for i in range(12):
@@ -780,133 +826,89 @@ class TestSharedMappingLifecycle:
                                     problem.constexprs(), WS_OPTIONS))
         results = device.run_many(specs)
         assert len(results) == 12
-        assert COUNTERS.parallel_launches == 12
-        # Every launch's mappings were released as soon as it merged; none
-        # wait for GC.
-        assert COUNTERS.parallel_shared_bytes == 0
-        for spec in specs:
-            for value in spec.args.values():
-                if hasattr(value, "buffer"):
-                    assert not value.buffer.is_shared
-                    assert value.buffer._shared_backing is None
+        assert COUNTERS.pool_launches == 12
+        self._assert_private(device, *(spec.args for spec in specs))
+        self._assert_gauge_returns(device)
 
     def test_fork_failure_releases_shared_buffers(self, monkeypatch):
-        """A launch whose worker fork fails must still release its mappings.
+        """A launch whose dispatch fails must still evacuate the arena.
 
-        ``run_many`` shares buffers *before* constructing ``ParallelLaunch``;
-        if the fork raises, the launch never reaches the pending slot that the
-        batch-level error handler cleans up, so the release must happen on
-        the spot.
+        The executor places buffers *before* constructing ``PoolLaunch``;
+        if that raises (e.g. a respawn's fork fails), the launch never
+        reaches the pending slot the batch-level error handler cleans up, so
+        the evacuation must happen on the spot.
         """
-        import repro.gpusim.parallel as parallel_mod
-
         device = Device(mode="functional", workers=2)
-        problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
-                              block_k=32)
-        args, _, _ = make_gemm_inputs(problem, device)
+        problem, args, _, _ = self._gemm_spec(device)
         spec = LaunchSpec(matmul_kernel, problem.grid, args,
                           problem.constexprs(), WS_OPTIONS)
 
-        def failing_fork(*_a, **_k):
+        def failing_dispatch(*_a, **_k):
             raise OSError("fork: Resource temporarily unavailable")
 
-        monkeypatch.setattr(parallel_mod, "ParallelLaunch", failing_fork)
+        monkeypatch.setattr(pool_mod, "PoolLaunch", failing_dispatch)
         with pytest.raises(OSError, match="fork"):
             device.run_many([spec])
-        assert COUNTERS.parallel_shared_bytes == 0
-        for value in spec.args.values():
-            if hasattr(value, "buffer"):
-                assert not value.buffer.is_shared
-
-    def _gemm_spec(self, device):
-        problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
-                              block_k=32)
-        args, a, b = make_gemm_inputs(problem, device)
-        return problem, args, a, b
+        self._assert_private(device, args)
+        self._assert_gauge_returns(device)
 
     def test_killed_and_retried_launch_releases_buffers(self):
-        """A launch that recovered via re-fork still ends with zero live bytes."""
+        """A launch that recovered via respawn still evacuates the arena."""
         device = Device(mode="functional", workers=2, shard_retries=2)
         problem, args, a, b = self._gemm_spec(device)
         with faults.inject_faults("kill:worker=0,cta=0"):
-            device.run(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS)
+            self._run(device, problem, args)
         assert COUNTERS.shard_retries == 1
-        assert COUNTERS.parallel_shared_bytes == 0
-        for value in args.values():
-            if hasattr(value, "buffer"):
-                assert not value.buffer.is_shared
-        np.testing.assert_allclose(
-            args["c_ptr"].buffer.to_numpy().astype(np.float32),
-            gemm_reference(a, b, problem.dtype).astype(np.float32),
-            rtol=2e-2, atol=2e-2)
+        self._assert_private(device, args)
+        self._assert_correct(problem, args, a, b)
+        self._assert_gauge_returns(device)
 
     def test_timed_out_launch_releases_buffers(self):
-        """A launch that tripped the hang deadline still ends at zero bytes."""
+        """A launch that tripped the hang deadline still evacuates."""
         device = Device(mode="functional", workers=2, shard_timeout=0.4,
                         shard_retries=1)
         problem, args, a, b = self._gemm_spec(device)
         with faults.inject_faults("hang:worker=1,cta=0,seconds=60"):
-            device.run(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS)
+            self._run(device, problem, args)
         assert COUNTERS.shard_timeouts == 1
-        assert COUNTERS.parallel_shared_bytes == 0
-        np.testing.assert_allclose(
-            args["c_ptr"].buffer.to_numpy().astype(np.float32),
-            gemm_reference(a, b, problem.dtype).astype(np.float32),
-            rtol=2e-2, atol=2e-2)
+        self._assert_private(device, args)
+        self._assert_correct(problem, args, a, b)
+        self._assert_gauge_returns(device)
 
     def test_exhausted_retries_fallback_releases_buffers(self):
-        """The serial-fallback path (worker 0 always dies) ends at zero bytes
-        -- and the fallback's in-parent stores land in the shared mappings
-        the surviving worker also wrote, so the output is still complete."""
+        """The serial-fallback path (worker 0 always dies) evacuates too --
+        and the fallback's in-parent stores land in the arena views the
+        surviving worker also wrote, so the output is still complete."""
         device = Device(mode="functional", workers=2, shard_retries=1)
         problem, args, a, b = self._gemm_spec(device)
         with faults.inject_faults("kill:worker=0,count=-1"):
-            device.run(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS)
+            self._run(device, problem, args)
         assert COUNTERS.shard_serial_fallbacks == 1
-        assert COUNTERS.parallel_shared_bytes == 0
-        for value in args.values():
-            if hasattr(value, "buffer"):
-                assert not value.buffer.is_shared
-                assert value.buffer._shared_backing is None
-        np.testing.assert_allclose(
-            args["c_ptr"].buffer.to_numpy().astype(np.float32),
-            gemm_reference(a, b, problem.dtype).astype(np.float32),
-            rtol=2e-2, atol=2e-2)
+        self._assert_private(device, args)
+        self._assert_correct(problem, args, a, b)
+        self._assert_gauge_returns(device)
 
     def test_aborted_inflight_launch_releases_buffers(self):
-        """abort() on an in-flight sharded launch releases its mappings."""
+        """abort() on an in-flight pooled launch evacuates the arena."""
         device = Device(mode="functional", workers=2)
         problem, args, _, _ = self._gemm_spec(device)
-        executor = device.executor()
-        prepared = executor.prepare(
-            LaunchSpec(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS))
-        inflight = executor.submit(prepared)
+        inflight = _submit(device, LaunchSpec(
+            matmul_kernel, problem.grid, args, problem.constexprs(),
+            WS_OPTIONS))
         assert not inflight.done
-        assert COUNTERS.parallel_shared_bytes > 0
+        assert device.pool.busy and device.pool.arena.used > 0
         inflight.abort()
-        assert COUNTERS.parallel_shared_bytes == 0
-        for proc in mp.active_children():
-            proc.join(timeout=5)
+        self._assert_private(device, args)
+        self._assert_gauge_returns(device)
 
     def test_reused_buffer_across_launches_stays_correct(self):
-        """Share -> release -> re-share of the same buffer keeps data intact."""
+        """Place -> restore -> re-place of the same buffer keeps data intact."""
         device = Device(mode="functional", workers=2)
-        problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
-                              block_k=32)
-        args, a, b = make_gemm_inputs(problem, device)
-        specs = [
-            LaunchSpec(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS),
-            LaunchSpec(matmul_kernel, problem.grid, args, problem.constexprs(),
-                       WS_OPTIONS),
-        ]
-        device.run_many(specs)
-        assert COUNTERS.parallel_shared_bytes == 0
-        np.testing.assert_allclose(
-            args["c_ptr"].buffer.to_numpy().astype(np.float32),
-            gemm_reference(a, b, problem.dtype).astype(np.float32),
-            rtol=2e-2, atol=2e-2)
+        problem, args, a, b = self._gemm_spec(device)
+        spec = LaunchSpec(matmul_kernel, problem.grid, args,
+                          problem.constexprs(), WS_OPTIONS)
+        device.run_many([spec, spec])
+        assert COUNTERS.pool_launches == 2
+        self._assert_private(device, args)
+        self._assert_correct(problem, args, a, b)
+        self._assert_gauge_returns(device)

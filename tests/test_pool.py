@@ -1,13 +1,13 @@
 """Persistent worker-pool tests: warm reuse, arena lifecycle, supervision.
 
 The pool contract under test (:mod:`repro.gpusim.pool`): a device bound to a
-:class:`WorkerPool` produces results **bit-identical** to serial execution; a
-repeated launch dispatches to already-warm workers (zero forks, zero
-compiles, zero plan builds anywhere in the tree); every launch's buffers
-travel through the pool's single reusable shared arena instead of per-launch
-``MAP_SHARED`` churn; and supervision recovers from killed / hung /
-pipe-corrupting workers by respawning only the affected worker and retrying
-only its in-flight shard.
+:class:`WorkerPool` (``Device(workers=N)``) produces results
+**bit-identical** to serial execution; a repeated launch dispatches to
+already-warm workers (zero forks, zero compiles, zero plan builds anywhere in
+the tree); every launch's buffers travel through the pool's single reusable
+shared arena; launches the pool cannot take run serially in the caller; and
+supervision recovers from killed / hung / pipe-corrupting workers by
+respawning only the affected worker and retrying only its in-flight shard.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro import faults
 from repro.core.options import CompileOptions
 from repro.gpusim.device import Device, LaunchSpec, clear_compile_cache
 from repro.gpusim.engine import SimulationError
-from repro.gpusim.executors import PooledExecutor, ShardedExecutor
+from repro.gpusim.executors import PooledExecutor, SerialExecutor
 from repro.gpusim.memory import GlobalBuffer, Pointer, SharedArena, TensorDesc
 from repro.gpusim.parallel import SupervisorConfig, fork_available
 from repro.gpusim.pool import (
@@ -133,57 +133,49 @@ class TestSharedArena:
 
 
 # ---------------------------------------------------------------------------
-# Pool resolution (Device(pool=...) / REPRO_SIM_POOL / REPRO_SIM_POOL_ARENA)
+# Pool resolution (Device(workers=...) / REPRO_SIM_WORKERS)
 # ---------------------------------------------------------------------------
 
 
 class TestPoolResolution:
-    def test_resolve_arena_bytes(self, monkeypatch):
+    def test_resolve_arena_bytes(self):
         assert resolve_arena_bytes(4096) == 4096
-        monkeypatch.delenv("REPRO_SIM_POOL_ARENA", raising=False)
         assert resolve_arena_bytes() == DEFAULT_ARENA_BYTES
-        monkeypatch.setenv("REPRO_SIM_POOL_ARENA", "1048576")
-        assert resolve_arena_bytes() == 1048576
-        monkeypatch.setenv("REPRO_SIM_POOL_ARENA", "lots")
-        with pytest.raises(SimulationError, match="REPRO_SIM_POOL_ARENA"):
-            resolve_arena_bytes()
         with pytest.raises(SimulationError):
             resolve_arena_bytes(0)
+        with pytest.raises(SimulationError):
+            WorkerPool(2, arena_bytes=-1)
 
     def test_resolve_pool_disabled_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_POOL", raising=False)
-        assert resolve_pool(None) is None          # env unset
-        assert resolve_pool(0) is None
-        assert resolve_pool(False) is None
-        for raw in ("", "0", "off", "false", "no"):
-            monkeypatch.setenv("REPRO_SIM_POOL", raw)
-            assert resolve_pool(None) is None
-        monkeypatch.setenv("REPRO_SIM_POOL", "soon")
-        with pytest.raises(SimulationError, match="REPRO_SIM_POOL"):
-            resolve_pool(None)
+        assert resolve_pool(1) is None             # below the 2-worker floor
+        for raw in ("", "1"):
+            monkeypatch.setenv("REPRO_SIM_WORKERS", raw)
+            assert Device().pool is None
+        assert Device(workers=1).pool is None
+        monkeypatch.setenv("REPRO_SIM_WORKERS", "soon")
+        with pytest.raises(SimulationError, match="REPRO_SIM_WORKERS"):
+            Device()
 
     @needs_fork
     def test_resolve_pool_sizes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_POOL", "2")
-        pool = resolve_pool(None)
+        monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
+        pool = Device().pool
         assert pool is not None and pool.size == 2
         assert resolve_pool(2) is pool             # same process-global pool
-        assert resolve_pool("2") is pool
-        assert resolve_pool(1) is None             # below the 2-worker floor
-        assert Device(pool=2).pool is pool
-        monkeypatch.setenv("REPRO_SIM_POOL", "off")
-        assert Device().pool is None
+        assert Device(workers=2).pool is pool
+        assert Device(workers=3).pool.size == 3
+        assert Device(workers=1).pool is None      # explicit beats the env
 
     @needs_fork
     def test_explicit_pool_wins_and_closed_pools_resolve_to_none(self):
         pool = WorkerPool(2, arena_bytes=1 << 20)
         assert resolve_pool(pool) is pool
+        assert Device(workers=pool).pool is pool
         pool.shutdown()
         assert resolve_pool(pool) is None
-        device = Device(mode="functional", pool=2)
-        assert device.pool is not None
-        device.pool.shutdown()
+        device = Device(mode="functional", workers=pool)
         # A closed pool never reaches the executor: selection degrades.
+        assert isinstance(device.executor(), SerialExecutor)
         assert not isinstance(device.executor(), PooledExecutor)
 
     @needs_fork
@@ -218,22 +210,26 @@ class TestPoolResolution:
 @needs_fork
 class TestPooledExecution:
     def test_device_pool_selects_pooled_executor(self):
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         assert isinstance(device.executor(), PooledExecutor)
-        assert isinstance(device.executor(), ShardedExecutor)  # fallback paths
-        device.pool = None
+        assert isinstance(device.executor(), SerialExecutor)  # fallback paths
+        device.workers = 1
         assert not isinstance(device.executor(), PooledExecutor)
 
     def test_performance_mode_never_pools(self):
-        device = Device(mode="performance", pool=2)
+        device = Device(mode="performance", workers=2)
         assert not isinstance(device.executor(), PooledExecutor)
 
-    def test_gemm_bit_identical_to_serial(self):
+    @pytest.mark.parametrize("use_plans", [True, False],
+                             ids=["plans", "interpreter"])
+    def test_gemm_bit_identical_to_serial(self, use_plans):
+        """Pool workers honour ``use_plans``: the interpreter oracle runs on
+        the pool too, bit-identical to its serial run."""
         problem = _gemm()
-        r_s, c_s = run_gemm(Device(mode="functional", workers=1), problem,
-                            WS_OPTIONS)
-        r_p, c_p = run_gemm(Device(mode="functional", pool=2), problem,
-                            WS_OPTIONS)
+        r_s, c_s = run_gemm(Device(mode="functional", workers=1,
+                                   use_plans=use_plans), problem, WS_OPTIONS)
+        r_p, c_p = run_gemm(Device(mode="functional", workers=2,
+                                   use_plans=use_plans), problem, WS_OPTIONS)
         assert r_p.cycles == r_s.cycles
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
         assert r_p.tensor_core_busy_cycles == r_s.tensor_core_busy_cycles
@@ -241,13 +237,15 @@ class TestPooledExecution:
         assert np.array_equal(c_p, c_s)
         assert COUNTERS.pool_launches == 1
         assert COUNTERS.pool_fallback_launches == 0
-        assert COUNTERS.parallel_workers_forked == 0  # no per-launch forks
+        # every CTA ran in a worker, through the requested engine
+        ctas = COUNTERS.plan_ctas if use_plans else COUNTERS.interpreter_ctas
+        assert ctas == 2 * len(r_s.per_cta_cycles)
 
     def test_warm_workers_are_reused_across_batches(self):
         """The tentpole property: a repeated launch costs zero forks and
         zero compiles -- the warm per-worker compile/plan state survives
         across ``run_many`` batches."""
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         problem = _gemm()
 
         def run_batch():
@@ -275,7 +273,7 @@ class TestPooledExecution:
         np.testing.assert_array_equal(first, second)
 
     def test_shutdown_releases_the_arena(self):
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         run_gemm(device, _gemm(), WS_OPTIONS)
         assert COUNTERS.parallel_shared_bytes == DEFAULT_ARENA_BYTES
         shutdown_pools()
@@ -288,7 +286,7 @@ class TestPooledExecution:
         """Between launches the arena is recycled and every launch buffer is
         back in private memory -- the pool equivalent of the share/release
         lifecycle tests."""
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         problem = _gemm()
         args, a, b = make_gemm_inputs(problem, device)
         device.run(matmul_kernel, problem.grid, args, problem.constexprs(),
@@ -303,7 +301,7 @@ class TestPooledExecution:
             rtol=2e-2, atol=2e-2)
 
     def test_single_cta_launch_stays_serial(self):
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         one_cta = GemmProblem(M=32, N=32, K=32, block_m=32, block_n=32,
                               block_k=32)
         run_gemm(device, one_cta, WS_OPTIONS)
@@ -311,44 +309,48 @@ class TestPooledExecution:
         assert COUNTERS.pool_workers_spawned == 0
         assert COUNTERS.pool_fallback_launches == 0
 
-    def test_arena_overflow_falls_back_to_fork_per_launch(self):
-        """A launch that does not fit the arena degrades to the inherited
-        fork-per-launch sharded path, still bit-identical."""
-        pool = WorkerPool(2, arena_bytes=4096)  # far too small for the GEMM
-        problem = _gemm()
-        r_s, c_s = run_gemm(Device(mode="functional", workers=1), problem,
+    def _assert_serial_fallback(self, r_p, c_p) -> None:
+        """The launch ran serially in this process, bit-identical to serial."""
+        COUNTERS.reset()  # count only the reference run below
+        r_s, c_s = run_gemm(Device(mode="functional", workers=1), _gemm(),
                             WS_OPTIONS)
-        r_p, c_p = run_gemm(Device(mode="functional", pool=pool), problem,
+        assert r_p.cycles == r_s.cycles
+        assert r_p.per_cta_cycles == r_s.per_cta_cycles
+        assert r_p.bytes_copied == r_s.bytes_copied
+        assert np.array_equal(c_p, c_s)
+
+    def test_arena_overflow_falls_back_to_serial(self):
+        """A launch that does not fit the arena runs serially in-process."""
+        pool = WorkerPool(2, arena_bytes=4096)  # far too small for the GEMM
+        r_p, c_p = run_gemm(Device(mode="functional", workers=pool), _gemm(),
                             WS_OPTIONS)
         assert COUNTERS.pool_fallback_launches == 1
+        assert COUNTERS.pool_busy_rejections == 0
         assert COUNTERS.pool_launches == 0
-        assert COUNTERS.parallel_launches == 1   # the fork-per-launch path
-        assert COUNTERS.parallel_workers_forked >= 2
-        assert r_p.cycles == r_s.cycles
-        assert np.array_equal(c_p, c_s)
+        assert COUNTERS.pool_workers_spawned == 0  # nothing forked
+        assert COUNTERS.plan_ctas == len(r_p.per_cta_cycles)  # all in-parent
         pool.shutdown()
+        self._assert_serial_fallback(r_p, c_p)
 
-    def test_busy_pool_falls_back_to_fork_per_launch(self):
+    def test_busy_pool_falls_back_to_serial(self):
         pool = get_worker_pool(2)
-        problem = _gemm()
-        r_s, c_s = run_gemm(Device(mode="functional", workers=1), problem,
-                            WS_OPTIONS)
         pool._active = sentinel = object()  # a launch in flight elsewhere
         try:
-            r_p, c_p = run_gemm(Device(mode="functional", pool=pool), problem,
-                                WS_OPTIONS)
+            r_p, c_p = run_gemm(Device(mode="functional", workers=pool),
+                                _gemm(), WS_OPTIONS)
         finally:
             assert pool._active is sentinel
             pool._active = None
         assert COUNTERS.pool_fallback_launches == 1
-        assert r_p.cycles == r_s.cycles
-        assert np.array_equal(c_p, c_s)
+        assert COUNTERS.pool_busy_rejections == 1
+        assert COUNTERS.pool_workers_spawned == 0  # nothing forked
+        self._assert_serial_fallback(r_p, c_p)
 
     def test_stale_artifact_recovers_via_respawn(self):
         """A warm worker missing a launch's artifact reports ``stale`` and
         the supervisor respawns it; the fresh fork inherits the re-pinned
         artifact and the launch completes bit-identically."""
-        device = Device(mode="functional", pool=2, shard_retries=2)
+        device = Device(mode="functional", workers=2, shard_retries=2)
         p_a = _gemm()
         # Different constexprs (block shape) => a different content
         # fingerprint; M/N/K alone are runtime arguments and would not.
@@ -370,8 +372,8 @@ class TestPooledExecution:
         assert np.array_equal(c_p, c_s)
 
     def test_two_devices_share_one_process_global_pool(self):
-        d1 = Device(mode="functional", pool=2)
-        d2 = Device(mode="functional", pool=2)
+        d1 = Device(mode="functional", workers=2)
+        d2 = Device(mode="functional", workers=2)
         assert d1.pool is d2.pool
         run_gemm(d1, _gemm(), WS_OPTIONS)
         spawned = COUNTERS.pool_workers_spawned
@@ -391,7 +393,7 @@ class TestPoolSupervision:
         r_s, c_s = run_gemm(Device(mode="functional", workers=1), problem,
                             WS_OPTIONS)
         with faults.inject_faults(fault):
-            device = Device(mode="functional", pool=2, **device_kw)
+            device = Device(mode="functional", workers=2, **device_kw)
             r_p, c_p = run_gemm(device, problem, WS_OPTIONS)
         assert r_p.cycles == r_s.cycles
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
@@ -449,7 +451,7 @@ class TestPoolSupervision:
         serial_results, serial_cs = run_batch(Device(mode="functional",
                                                      workers=1))
         with faults.inject_faults("kill:worker=1,cta=0"):
-            device = Device(mode="functional", pool=2, shard_retries=2)
+            device = Device(mode="functional", workers=2, shard_retries=2)
             pooled_results, pooled_cs = run_batch(device)
         assert COUNTERS.faults_injected == 1
         assert COUNTERS.shard_retries == 1
@@ -469,7 +471,7 @@ class TestPoolSupervision:
         """A deterministic in-worker exception aborts the launch (no retry)
         but does not poison the pool."""
         pool = get_worker_pool(2)
-        device = Device(mode="functional", pool=pool)
+        device = Device(mode="functional", workers=pool)
         problem = _gemm()
         executor = device.executor()
         assert isinstance(executor, PooledExecutor)
@@ -482,7 +484,7 @@ class TestPoolSupervision:
         del encoded["c_ptr"]  # the work item ships a broken argument set
         launched = PoolLaunch(
             pool, executor.cta_runner(prepared), prepared.cta_ids,
-            executor.pool_workers(prepared), executor.supervisor_config(),
+            executor.effective_workers(prepared), executor.supervisor_config(),
             prepared.compiled.fingerprint, prepared.compiled,
             prepared.spec.grid, encoded, executor.settings_state())
         with pytest.raises(SimulationError, match="pooled execution failed"):
@@ -549,9 +551,9 @@ class TestPoolThreadSafety:
     def test_busy_pool_counts_rejection_and_falls_back(self):
         """A claimed pool rejects a second dispatch as queue pressure --
         ``pool_busy_rejections`` (new, distinct) plus the catch-all
-        ``pool_fallback_launches`` -- and the launch completes via the
-        inherited fork-per-launch path."""
-        device = Device(mode="functional", pool=2)
+        ``pool_fallback_launches`` -- and the launch completes serially in
+        the calling thread."""
+        device = Device(mode="functional", workers=2)
         problem = _gemm()
         r_ref, c_ref = run_gemm(device, problem, WS_OPTIONS)  # warm the pool
         assert COUNTERS.pool_busy_rejections == 0
@@ -572,10 +574,10 @@ class TestPoolThreadSafety:
     def test_concurrent_dispatch_over_one_pool_is_safe(self):
         """Two threads dispatching over one process-global pool (the serve
         dispatch thread racing a direct caller): one claims the pool, the
-        loser falls back to fork-per-launch -- no SimulationError, both
+        loser runs serially in its own thread -- no SimulationError, both
         results bit-identical.  Regression for the check-then-act race on
         ``pool.busy``."""
-        device = Device(mode="functional", pool=2)
+        device = Device(mode="functional", workers=2)
         problem = _gemm()
         r_ref, c_ref = run_gemm(device, problem, WS_OPTIONS)  # warm + compile
         barrier = threading.Barrier(2)

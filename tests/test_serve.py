@@ -512,7 +512,7 @@ class TestServeSupervision:
         serial_digest = protocol.args_digest(serial_specs)
 
         async def scenario():
-            device = Device(mode="functional", pool=2, shard_retries=2)
+            device = Device(mode="functional", workers=2, shard_retries=2)
             async with SimService(device, FAST) as service:
                 return await asyncio.gather(*[
                     service.submit_workload("gemm", dict(params),

@@ -6,7 +6,7 @@ Covers the tentpole of the workload-registry PR:
 * functional correctness of softmax / LayerNorm / split-K GEMM / fused
   elementwise against their NumPy references, across compilation paths;
 * bit-identical results across the interpreter, execution plans and
-  2-worker sharded execution for every new workload;
+  2-worker pooled execution for every new workload;
 * :func:`repro.experiments.common.measure_sweep` resolving points through
   the registry, including the multi-launch split-K pipeline;
 * the ``python -m repro.workloads`` CLI (list / functional run / perf sweep).
@@ -179,7 +179,7 @@ class TestNewKernels:
 
 
 # ---------------------------------------------------------------------------
-# Differential: interpreter vs plans vs sharded, bit-for-bit
+# Differential: interpreter vs plans vs pooled, bit-for-bit
 # ---------------------------------------------------------------------------
 
 
@@ -212,7 +212,7 @@ NEW_WORKLOAD_RUNNERS = [
                          ids=[row[0] for row in NEW_WORKLOAD_RUNNERS])
 def test_new_workloads_bit_identical_across_engines(name, runner, problem):
     oracle = _observe("interpreter", runner, problem)
-    for engine in ("plans", "sharded"):
+    for engine in ("plans", "pooled"):
         observed = _observe(engine, runner, problem)
         assert observed[0] == oracle[0], f"{name}: cycles diverged on {engine}"
         assert observed[1] == oracle[1], f"{name}: per-CTA cycles diverged on {engine}"
