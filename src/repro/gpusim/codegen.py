@@ -10,14 +10,21 @@ sliced/fancy-indexed ndarray reads and writes.  The function takes a leading
 CTA axis ``B``, so *all* identical CTAs of a launch run through **one**
 vectorized NumPy call instead of ``B`` interpreted walks.
 
+What each op computes is not decided here: every op's table entry in
+:mod:`repro.gpusim.ops` names the tagging rule that handles it and supplies
+the NumPy source template the rule formats -- the same template the serial
+engines' eager payload is compiled from.  This module owns only what
+batching adds: uniform/varying tags, rank alignment and weak-scalar
+promotion.
+
 Correctness model (the interpreter stays the oracle):
 
 * Launch-uniform values (same for every CTA) are computed exactly as the
-  serial interpreter computes them -- python scalars stay python scalars, so
+  serial engines compute them -- python scalars stay python scalars, so
   NumPy's weak-promotion rules are untouched.
 * CTA-varying scalars are ``(B,)`` arrays in the *weak default* dtype of
   their IR sort (``int64`` / ``float64`` / ``bool_``), mirroring the
-  interpreter's ``_to_python_scalar``.  Where such a stand-in meets a
+  payloads' ``_to_python_scalar`` coercion.  Where such a stand-in meets a
   strongly-typed operand, :func:`wcast` re-applies NEP-50 weak promotion
   (``np.result_type(strong.dtype, weak_zero)``) so batched results are
   bit-identical to python-scalar arithmetic.
@@ -25,7 +32,7 @@ Correctness model (the interpreter stays the oracle):
   their axis by one, trailing-dim broadcasting lines uniform and varying
   operands up automatically.
 * Global loads/stores go through the *same* :class:`GlobalBuffer`
-  gather/scatter code as the interpreter with ``(B,) + shape`` index
+  gather/scatter code as the serial payloads with ``(B,) + shape`` index
   arrays; scatter's C-order fancy assignment makes overlapping stores
   CTA-major last-write-wins, exactly the serial launch order.
 
@@ -40,7 +47,6 @@ emission entirely.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from collections.abc import Sequence
@@ -51,8 +57,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.gpusim.config import H100Config
 from repro.gpusim.engine import SimulationError
+from repro.gpusim.ops import CTA_INPUTS, OPS, source
 from repro.ir import Operation, Value
-from repro.ir.dialects import arith, scf, tawa, tt
+from repro.ir.dialects import scf, tawa
 from repro.ir.types import PointerType, ScalarType, TensorDescType, TensorType
 
 
@@ -213,34 +220,6 @@ def _scalar_sort(ty: ScalarType) -> tuple[str, str]:
     return "wf", "np.float64"
 
 
-_BINARY_FUNCS = {
-    "arith.addi": "np.add", "arith.subi": "np.subtract", "arith.muli": "np.multiply",
-    "arith.divsi": "np.floor_divide", "arith.remsi": "np.remainder",
-    "arith.minsi": "np.minimum", "arith.maxsi": "np.maximum",
-    "arith.andi": "np.bitwise_and", "arith.ori": "np.bitwise_or",
-    "arith.xori": "np.bitwise_xor",
-    "arith.addf": "np.add", "arith.subf": "np.subtract", "arith.mulf": "np.multiply",
-    "arith.divf": "np.divide", "arith.minf": "np.minimum", "arith.maxf": "np.maximum",
-    "arith.powf": "np.power",
-}
-
-_UNARY_FUNCS = {
-    "math.exp": "np.exp({})", "math.exp2": "np.exp2({})", "math.log": "np.log({})",
-    "math.log2": "np.log2({})", "math.sqrt": "np.sqrt({})",
-    "math.rsqrt": "(1.0 / np.sqrt({}))", "math.abs": "np.abs({})",
-    "arith.negf": "np.negative({})", "math.sigmoid": "(1.0 / (1.0 + np.exp(-({}))))",
-    "math.tanh": "np.tanh({})",
-}
-
-_CMP_FUNCS = {
-    "eq": "np.equal", "ne": "np.not_equal",
-    "slt": "np.less", "sle": "np.less_equal", "sgt": "np.greater",
-    "sge": "np.greater_equal",
-    "lt": "np.less", "le": "np.less_equal", "gt": "np.greater",
-    "ge": "np.greater_equal",
-}
-
-
 # ---------------------------------------------------------------------------
 # The emitter
 # ---------------------------------------------------------------------------
@@ -392,17 +371,15 @@ class _Emitter:
             self.emit_op(op)
 
     def emit_op(self, op: Operation) -> None:
-        handler = _EMITTERS.get(op.name)
-        if handler is None:
-            if isinstance(op, arith.BinaryOp):
-                handler = _Emitter._emit_binary
-            elif isinstance(op, arith.UnaryOp):
-                handler = _Emitter._emit_unary
-            elif isinstance(op, (arith.CmpIOp, arith.CmpFOp)):
-                handler = _Emitter._emit_cmp
-            else:
+        if op.name == "scf.for":
+            self._emit_scf_for(op)
+        elif op.name == "scf.if":
+            self._emit_scf_if(op)
+        else:
+            spec = OPS.get(op.name)
+            if spec is None or spec.cg is None:
                 raise CodegenError(f"unsupported op {op.name!r}")
-        handler(self, op)
+            getattr(self, f"_emit_{spec.cg}")(op)
 
     # ======================================================================
     # Structured control flow
@@ -528,128 +505,77 @@ class _Emitter:
             self.alias(res, name, slot)
 
     # ======================================================================
-    # arith / math
+    # Tagging rules.  Each op's table entry (repro.gpusim.ops) names its rule
+    # and supplies the source template; a rule decides the result's tag,
+    # aligns varying operands and fills the template's batch-aware fields.
     # ======================================================================
 
-    @staticmethod
-    def _literal(value) -> str:
-        if isinstance(value, float) and not math.isfinite(value):
-            return f"float({str(value)!r})"  # inf/-inf/nan have no literal repr
-        return repr(value)
+    def _emit_nothing(self, op: Operation) -> None:
+        return
 
-    def _emit_constant(self, op: arith.ConstantOp) -> None:
+    def _emit_constant(self, op: Operation) -> None:
         sort, _ = _scalar_sort(op.result.type)
-        self.bind(op.result, self._literal(op.value), Tag(sort, False))
+        self.bind(op.result, source(op), Tag(sort, False))
 
-    def _emit_binary(self, op: arith.BinaryOp) -> None:
-        fname = _BINARY_FUNCS.get(op.name)
-        if fname is None:
-            raise CodegenError(f"unsupported binary op {op.name!r}")
+    def _bind_weak(self, op: Operation, expr: str, varying: bool) -> None:
+        """Bind a scalar result in the weak representation of its IR sort."""
+        sort, weak_dt = _scalar_sort(op.result.type)
+        if varying:
+            self.bind(op.result, f"{expr}.astype({weak_dt})", Tag(sort, True))
+        else:
+            py = {"wi": "R.py_int", "wf": "R.py_float", "wb": "R.py_bool"}[sort]
+            self.bind(op.result, f"{py}({expr})", Tag(sort, False))
+
+    def _emit_binary(self, op: Operation) -> None:
         rank = self._result_rank(op)
         varying = self._any_varying([op.lhs, op.rhs])
-        ea, eb = self._promoted_pair(op.lhs, op.rhs, rank)
-        expr = f"{fname}({ea}, {eb})"
+        expr = source(op).format(*self._promoted_pair(op.lhs, op.rhs, rank))
         if rank == 0:
-            sort, weak_dt = _scalar_sort(op.result.type)
-            if varying:
-                self.bind(op.result, f"{expr}.astype({weak_dt})", Tag(sort, True))
-            else:
-                py = {"wi": "R.py_int", "wf": "R.py_float", "wb": "R.py_bool"}[sort]
-                self.bind(op.result, f"{py}({expr})", Tag(sort, False))
+            self._bind_weak(op, expr, varying)
         else:
             self.bind(op.result, expr, Tag("tensor", varying))
 
-    def _emit_unary(self, op: arith.UnaryOp) -> None:
-        template = _UNARY_FUNCS.get(op.name)
-        if template is None:
-            raise CodegenError(f"unsupported unary op {op.name!r}")
+    def _emit_unary(self, op: Operation) -> None:
         rank = self._result_rank(op)
         operand = op.operands[0]
-        varying = self._any_varying([operand])
-        expr = template.format(self._use(operand, rank))
+        expr = source(op).format(self._use(operand, rank))
         sort = "strong" if rank == 0 else "tensor"
-        self.bind(op.result, expr, Tag(sort, varying))
+        self.bind(op.result, expr, Tag(sort, self._any_varying([operand])))
 
-    def _emit_cmp(self, op: arith.CmpIOp) -> None:
-        fname = _CMP_FUNCS[op.predicate]
+    def _emit_cmp(self, op: Operation) -> None:
         rank = self._result_rank(op)
         varying = self._any_varying(list(op.operands))
-        ea, eb = self._promoted_pair(op.operands[0], op.operands[1], rank)
-        expr = f"{fname}({ea}, {eb})"
+        expr = source(op).format(*self._promoted_pair(op.operands[0], op.operands[1], rank))
         if rank == 0:
-            if varying:
-                self.bind(op.result, expr, Tag("wb", True))
-            else:
-                self.bind(op.result, f"bool({expr})", Tag("wb", False))
+            self.bind(op.result, expr if varying else f"bool({expr})", Tag("wb", varying))
         else:
             self.bind(op.result, expr, Tag("tensor", varying))
 
     def _emit_select(self, op: Operation) -> None:
         cond, x, y = op.operands
         rank = self._result_rank(op)
-        varying = self._any_varying([cond, x, y])
         ex, ey = self._promoted_pair(x, y, rank)
-        expr = f"np.where({self._use(cond, rank)}, {ex}, {ey})"
+        expr = source(op).format(self._use(cond, rank), ex, ey)
         sort = "strong" if rank == 0 else "tensor"
-        self.bind(op.results[0], expr, Tag(sort, varying))
+        self.bind(op.results[0], expr, Tag(sort, self._any_varying([cond, x, y])))
 
-    def _emit_cast(self, op: arith.CastOp) -> None:
+    def _emit_cast(self, op: Operation) -> None:
         operand = op.operands[0]
-        ty = op.result.type
         varying = self._any_varying([operand])
-        if isinstance(ty, TensorType):
-            dt = ty.element_type.numpy_dtype.name
-            self.bind(op.result,
-                      f"np.asarray({self.ref(operand)}, dtype={dt!r})",
+        if isinstance(op.result.type, TensorType):
+            self.bind(op.result, source(op).format(self.ref(operand)),
                       Tag("tensor", varying))
-            return
-        sort, weak_dt = _scalar_sort(ty)
-        if varying:
-            self.bind(op.result, f"{self.ref(operand)}.astype({weak_dt})",
-                      Tag(sort, True))
         else:
-            py = {"wi": "R.py_int", "wf": "R.py_float", "wb": "R.py_bool"}[sort]
-            self.bind(op.result, f"{py}({self.ref(operand)})", Tag(sort, False))
+            self._bind_weak(op, self.ref(operand), varying)
 
-    # ======================================================================
-    # ids / shapes
-    # ======================================================================
+    def _emit_cta(self, op: Operation) -> None:
+        _, expr, varying = CTA_INPUTS[OPS[op.name].cta(op)]
+        self.bind(op.result, expr, Tag("wi", varying))
 
-    def _emit_program_id(self, op: tt.GetProgramIdOp) -> None:
-        self.bind(op.result, f"pid{op.axis}", Tag("wi", True))
+    def _emit_tensor_const(self, op: Operation) -> None:
+        self.bind(op.result, source(op), Tag("tensor", False))
 
-    def _emit_num_programs(self, op: Operation) -> None:
-        self.bind(op.result, f"grid[{op.axis}]", Tag("wi", False))
-
-    def _emit_cta_id(self, op: Operation) -> None:
-        self.bind(op.result, "linear", Tag("wi", True))
-
-    def _emit_num_ctas(self, op: Operation) -> None:
-        self.bind(op.result, "num_ctas", Tag("wi", False))
-
-    def _emit_num_tiles(self, op: Operation) -> None:
-        self.bind(op.result, "num_tiles", Tag("wi", False))
-
-    def _emit_warp_group_id(self, op: Operation) -> None:
-        self.bind(op.result, "0", Tag("wi", False))
-
-    def _emit_nothing(self, op: Operation) -> None:
-        return
-
-    def _emit_make_range(self, op: tt.MakeRangeOp) -> None:
-        self.bind(op.result,
-                  f"np.arange({op.start}, {op.end}, dtype=np.int64)",
-                  Tag("tensor", False))
-
-    def _emit_full(self, op: tt.FullOp) -> None:
-        ty = op.result.type
-        dt = ty.element_type.numpy_dtype.name
-        self.bind(op.result,
-                  f"np.full({tuple(ty.shape)!r}, {self._literal(op.value)}, "
-                  f"dtype={dt!r})",
-                  Tag("tensor", False))
-
-    def _emit_splat(self, op: tt.SplatOp) -> None:
+    def _emit_splat(self, op: Operation) -> None:
         operand = op.operands[0]
         tag = self.tag(operand)
         if tag.sort in ("ptr", "desc"):
@@ -657,78 +583,58 @@ class _Emitter:
             self.alias(op.result, self.ref(operand), tag)
             return
         ty = op.result.type
-        dt = ty.element_type.numpy_dtype.name
-        if tag.varying:
-            expr = f"R.bsplat({self.ref(operand)}, B, {tuple(ty.shape)!r}, {dt!r})"
-            self.bind(op.result, expr, Tag("tensor", True))
-        else:
-            expr = f"np.full({tuple(ty.shape)!r}, {self.ref(operand)}, dtype={dt!r})"
-            self.bind(op.result, expr, Tag("tensor", False))
+        template = source(op)[1 if tag.varying else 0]
+        expr = template.format(self.ref(operand), shape=repr(tuple(ty.shape)),
+                               dt=repr(ty.element_type.numpy_dtype.name))
+        self.bind(op.result, expr, Tag("tensor", tag.varying))
 
-    def _emit_expand_dims(self, op: tt.ExpandDimsOp) -> None:
+    def _emit_expand_dims(self, op: Operation) -> None:
         operand = op.operands[0]
         tag = self.tag(operand)
+        axis = op.axis + (1 if tag.varying else 0)
         if tag.sort == "ptr":
             if tag.srank == 0:
                 # Serial keeps integer offsets untouched on scalar pointers.
                 self.alias(op.result, self.ref(operand), tag)
             else:
-                axis = op.axis + (1 if tag.varying else 0)
-                self.bind(op.result,
-                          f"np.expand_dims({self.ref(operand)}, {axis})",
+                self.bind(op.result, source(op).format(self.ref(operand), axis=axis),
                           Tag("ptr", tag.varying, tag.root, tag.srank + 1))
             return
-        axis = op.axis + (1 if tag.varying else 0)
-        self.bind(op.result,
-                  f"np.expand_dims({self.ref(operand)}, {axis})",
+        self.bind(op.result, source(op).format(self.ref(operand), axis=axis),
                   Tag("tensor", tag.varying))
 
-    def _emit_broadcast(self, op: tt.BroadcastOp) -> None:
+    def _emit_reshape(self, op: Operation) -> None:
         operand = op.operands[0]
         tag = self.tag(operand)
-        shape = tuple(op.result.type.shape)
+        shape = repr(tuple(op.result.type.shape))
         if tag.varying:
-            expr = f"np.broadcast_to({self.ref(operand)}, (B,) + {shape!r}).copy()"
-        else:
-            expr = f"np.broadcast_to({self.ref(operand)}, {shape!r}).copy()"
-        self.bind(op.result, expr, Tag("tensor", tag.varying))
+            shape = f"(B,) + {shape}"
+        self.bind(op.result, source(op).format(self.ref(operand), shape=shape),
+                  Tag("tensor", tag.varying))
 
-    def _emit_trans(self, op: tt.TransOp) -> None:
+    def _emit_trans(self, op: Operation) -> None:
         operand = op.operands[0]
         tag = self.tag(operand)
+        axes = None
         if tag.sort == "view":
             # Serial wraps the SMEM view in a transposed marker read lazily by
-            # wgmma; a swapaxes view has the same deferred-read semantics.
-            self.bind(op.result, f"np.swapaxes({self.ref(operand)}, -1, -2)",
-                      Tag("view", tag.varying))
-            return
-        if tag.varying:
-            rank = self._serial_rank(operand)
-            axes = (0,) + tuple(range(rank, 0, -1))
-            expr = f"np.transpose({self.ref(operand)}, {axes!r})"
-        else:
-            expr = f"np.transpose({self.ref(operand)})"
-        self.bind(op.result, expr, Tag("tensor", tag.varying))
+            # wgmma; a transposed ndarray view has the same deferred reads.
+            shape = self.shapes.get(operand)
+            if shape is None:
+                raise CodegenError("smem view with unknown shape")
+            axes = (0,) + tuple(range(len(shape), 0, -1))
+        elif tag.varying:
+            axes = (0,) + tuple(range(self._serial_rank(operand), 0, -1))
+        expr = source(op).format(self.ref(operand), axes=axes)
+        self.bind(op.result, expr, Tag("view" if tag.sort == "view" else "tensor",
+                                       tag.varying))
 
-    def _emit_reshape(self, op: tt.ReshapeOp) -> None:
+    def _emit_reduce(self, op: Operation) -> None:
         operand = op.operands[0]
         tag = self.tag(operand)
-        shape = tuple(op.result.type.shape)
-        if tag.varying:
-            expr = f"np.reshape({self.ref(operand)}, (B,) + {shape!r})"
-        else:
-            expr = f"np.reshape({self.ref(operand)}, {shape!r})"
-        self.bind(op.result, expr, Tag("tensor", tag.varying))
-
-    def _emit_reduce(self, op: tt.ReduceOp) -> None:
-        operand = op.operands[0]
-        tag = self.tag(operand)
-        fn = {"max": "np.max", "min": "np.min", "sum": "np.sum"}[op.kind]
         axis = op.axis + (1 if tag.varying else 0)
-        rank = self._result_rank(op)
-        sort = "strong" if rank == 0 else "tensor"
-        self.bind(op.results[0],
-                  f"{fn}({self.ref(operand)}, axis={axis})",
+        sort = "strong" if self._result_rank(op) == 0 else "tensor"
+        self.bind(op.results[0], source(op).format(self.ref(operand), axis=axis),
                   Tag(sort, tag.varying))
 
     # ======================================================================
@@ -743,18 +649,11 @@ class _Emitter:
         off_rank = (offset.type.rank if isinstance(offset.type, TensorType) else 0)
         srank = max(ptag.srank, off_rank)
         varying = self._any_varying([ptr, offset])
-        base = self._ptr_offsets_expr(ptr, srank)
-        if off_rank == 0:
-            # Serial addptr casts scalar deltas via int(); weak stand-ins are
-            # already int64, so dtype of the sum is unchanged either way.
-            off_expr = self._align(self.ref(offset), offset, srank)
-        else:
-            off_expr = (
-                f"np.asarray({self._align(self.ref(offset), offset, srank)}, "
-                f"dtype=np.int64)"
-            )
-        self.bind(op.result, f"{base} + {off_expr}",
-                  Tag("ptr", varying, ptag.root, srank))
+        # Serial addptr casts scalar deltas via int(); weak stand-ins are
+        # already int64, so dtype of the sum is unchanged either way.
+        expr = source(op).format(self._ptr_offsets_expr(ptr, srank),
+                                 self._align(self.ref(offset), offset, srank))
+        self.bind(op.result, expr, Tag("ptr", varying, ptag.root, srank))
 
     def _ptr_buffer(self, ptr: Value) -> str:
         tag = self.tag(ptr)
@@ -770,7 +669,10 @@ class _Emitter:
             expr = f"{expr}[:, {', '.join(['None'] * rank)}]"
         return expr
 
-    def _emit_load(self, op: tt.LoadOp) -> None:
+    def _mask(self, op: Operation, rank: int) -> str:
+        return "None" if op.mask is None else self._align(self.ref(op.mask), op.mask, rank)
+
+    def _emit_load(self, op: Operation) -> None:
         ptr = op.ptr
         ptag = self.tag(ptr)
         if ptag.sort != "ptr":
@@ -780,20 +682,15 @@ class _Emitter:
         if isinstance(op.result.type, TensorType) and ptag.srank != rank:
             raise CodegenError("load pointer rank does not match result rank")
         varying = self._any_varying([ptr, op.mask])
-        off = self._ptr_offsets_expr(ptr, rank)
-        mask = "None" if op.mask is None else self._align(self.ref(op.mask), op.mask, rank)
-        expr = f"{self._ptr_buffer(ptr)}.gather(np.asarray({off}), {mask})"
+        expr = source(op).format(buf=self._ptr_buffer(ptr),
+                                 off=self._ptr_offsets_expr(ptr, rank),
+                                 mask=self._mask(op, rank))
         if rank == 0:
-            sort, weak_dt = _scalar_sort(op.result.type)
-            if varying:
-                self.bind(op.result, f"{expr}.astype({weak_dt})", Tag(sort, True))
-            else:
-                py = {"wi": "R.py_int", "wf": "R.py_float", "wb": "R.py_bool"}[sort]
-                self.bind(op.result, f"{py}(({expr}).reshape(()))", Tag(sort, False))
+            self._bind_weak(op, expr if varying else f"({expr}).reshape(())", varying)
         else:
             self.bind(op.result, expr, Tag("tensor", varying))
 
-    def _emit_store(self, op: tt.StoreOp) -> None:
+    def _emit_store(self, op: Operation) -> None:
         ptr = op.ptr
         ptag = self.tag(ptr)
         if ptag.sort != "ptr":
@@ -801,62 +698,46 @@ class _Emitter:
         self.store_roots.add(self._pointer_root(ptr))
         rank = (op.value.type.rank if isinstance(op.value.type, TensorType)
                 else ptag.srank)
-        off = self._ptr_offsets_expr(ptr, rank)
-        val = self._align(self.ref(op.value), op.value, rank)
-        mask = "None" if op.mask is None else self._align(self.ref(op.mask), op.mask, rank)
-        if self._any_varying([ptr, op.value, op.mask]):
-            self.line(f"R.bstore({self._ptr_buffer(ptr)}, {off}, {val}, {mask})")
-        else:
-            self.line(
-                f"{self._ptr_buffer(ptr)}.scatter(np.asarray({off}, dtype=np.int64), "
-                f"{val}, {mask})"
-            )
+        template = source(op)[1 if self._any_varying([ptr, op.value, op.mask]) else 0]
+        self.line(template.format(buf=self._ptr_buffer(ptr),
+                                  off=self._ptr_offsets_expr(ptr, rank),
+                                  val=self._align(self.ref(op.value), op.value, rank),
+                                  mask=self._mask(op, rank)))
 
-    def _emit_tma_load(self, op: tt.TmaLoadOp) -> None:
+    def _tile_read(self, op: Operation, shape: tuple[int, ...], **fields) -> tuple[str, bool]:
+        """The (uniform or batched) tile read of a descriptor copy, and whether
+        its coordinates vary."""
         desc = op.desc
         self.load_roots.add(self._pointer_root(desc))
         coords = list(op.coords)
-        shape = tuple(op.tile_shape)
-        buf = f"args[{self.tag(desc).root}].buffer"
-        if self._any_varying(coords):
-            cexprs = ", ".join(self.ref(c) for c in coords)
-            expr = f"R.btile_read({buf}, ({cexprs},), {shape!r}, B)"
-            self.bind(op.result, expr, Tag("tensor", True))
-        else:
-            cexprs = ", ".join(f"int({self.ref(c)})" for c in coords)
-            expr = f"{buf}.read_tile(({cexprs},), {shape!r})"
-            self.bind(op.result, expr, Tag("tensor", False))
+        varying = self._any_varying(coords)
+        refs = [self.ref(c) if varying else f"int({self.ref(c)})" for c in coords]
+        expr = source(op)[1 if varying else 0].format(
+            buf=f"args[{self.tag(desc).root}].buffer", coords=", ".join(refs),
+            shape=repr(tuple(shape)), **fields)
+        return expr, varying
 
-    def _emit_tma_store(self, op: tt.TmaStoreOp) -> None:
+    def _emit_tma_load(self, op: Operation) -> None:
+        expr, varying = self._tile_read(op, op.tile_shape)
+        self.bind(op.result, expr, Tag("tensor", varying))
+
+    def _emit_tma_store(self, op: Operation) -> None:
         desc = op.desc
         self.store_roots.add(self._pointer_root(desc))
-        coords = list(op.coords)
-        buf = f"args[{self.tag(desc).root}].buffer"
         rank = op.value.type.rank if isinstance(op.value.type, TensorType) else 0
-        cexprs = ", ".join(self.ref(c) for c in coords)
-        self.line(
-            f"R.btile_write({buf}, ({cexprs},), {self.ref(op.value)}, {rank}, B)"
-        )
+        self.line(source(op).format(
+            buf=f"args[{self.tag(desc).root}].buffer",
+            coords=", ".join(self.ref(c) for c in op.coords),
+            val=self.ref(op.value), rank=rank))
 
     # ======================================================================
     # matmul
     # ======================================================================
 
-    def _emit_dot(self, op: tt.DotOp) -> None:
-        acc = "None" if op.acc is None else self.ref(op.acc)
-        varying = self._any_varying([op.a, op.b, op.acc])
-        self.bind(op.result,
-                  f"R.bmm({self.ref(op.a)}, {self.ref(op.b)}, {acc})",
-                  Tag("tensor", varying))
-
-    def _emit_wgmma(self, op: Operation) -> None:
-        b = self.ref(op.b)
-        if op.transpose_b:
-            b = f"np.swapaxes({b}, -1, -2)"
-        varying = self._any_varying([op.a, op.b, op.acc])
-        self.bind(op.result,
-                  f"R.bmm({self.ref(op.a)}, {b}, {self.ref(op.acc)})",
-                  Tag("tensor", varying))
+    def _emit_matmul(self, op: Operation) -> None:
+        operands = list(op.operands)
+        self.bind(op.result, source(op).format(*(self.ref(v) for v in operands)),
+                  Tag("tensor", self._any_varying(operands)))
 
     # ======================================================================
     # shared memory (lowered single-region pipelines)
@@ -864,11 +745,10 @@ class _Emitter:
 
     def _emit_alloc_smem(self, op: Operation) -> None:
         ty = op.buffer_type
-        dt = ty.element_type.numpy_dtype.name
         shape = tuple(ty.shape)
-        self.bind(op.result,
-                  f"np.zeros((B,) + {shape!r}, dtype={dt!r})",
-                  Tag("smem", True))
+        self.bind(op.result, source(op).format(
+            shape=repr(shape), dt=repr(ty.element_type.numpy_dtype.name)),
+            Tag("smem", True))
         self.shapes[op.result] = shape
 
     def _emit_smem_slice(self, op: Operation) -> None:
@@ -879,85 +759,33 @@ class _Emitter:
         shape = self.shapes.get(buf)
         if shape is None:
             raise CodegenError("smem ring with unknown shape")
-        ring = shape[0]
-        self.bind(op.result,
-                  f"{self.ref(buf)}[:, int({self.ref(op.index)}) % {ring}]",
+        self.bind(op.result, source(op).format(self.ref(buf), self.ref(op.index),
+                                               ring=shape[0]),
                   Tag("view", True))
         self.shapes[op.result] = tuple(shape[1:])
 
-    def _emit_cp_async(self, op: Operation) -> None:
-        desc = op.desc
-        self.load_roots.add(self._pointer_root(desc))
-        view = op.smem
+    def _view_shape(self, view: Value, what: str) -> tuple[int, ...] | None:
         if self.tag(view).sort != "view":
-            raise CodegenError("gpu.cp_async into a non-view value")
-        shape = self.shapes.get(view)
+            raise CodegenError(f"{what} into a non-view value")
+        return self.shapes.get(view)
+
+    def _emit_cp_async(self, op: Operation) -> None:
+        shape = self._view_shape(op.smem, "gpu.cp_async")
         if shape is None:
             raise CodegenError("smem view with unknown shape")
-        buf = f"args[{self.tag(desc).root}].buffer"
-        coords = list(op.coords)
-        if self._any_varying(coords):
-            cexprs = ", ".join(self.ref(c) for c in coords)
-            src = f"R.btile_read({buf}, ({cexprs},), {shape!r}, B)"
-        else:
-            cexprs = ", ".join(f"int({self.ref(c)})" for c in coords)
-            src = f"{buf}.read_tile(({cexprs},), {shape!r})"
-        self.line(f"{self.ref(view)}[...] = {src}")
+        expr, _ = self._tile_read(op, shape, view=self.ref(op.smem))
+        self.line(expr)
 
     def _emit_smem_read(self, op: Operation) -> None:
-        view = op.smem
-        if self.tag(view).sort != "view":
-            raise CodegenError("gpu.smem_read on a non-view value")
+        self._view_shape(op.smem, "gpu.smem_read")
         # Serial smem_read returns the live view (np.asarray of an ndarray
         # view is the view itself); aliasing semantics are preserved.
-        self.alias(op.result, self.ref(view), Tag("tensor", True))
+        self.alias(op.result, source(op).format(self.ref(op.smem)), Tag("tensor", True))
 
     def _emit_smem_write(self, op: Operation) -> None:
-        view = op.smem
-        if self.tag(view).sort != "view":
-            raise CodegenError("gpu.smem_write on a non-view value")
-        rank = len(self.shapes.get(view, ()))
-        val = self._align(self.ref(op.value), op.value, rank)
-        self.line(f"{self.ref(view)}[...] = {val}")
-
-
-_EMITTERS = {
-    "scf.for": _Emitter._emit_scf_for,
-    "scf.if": _Emitter._emit_scf_if,
-    "arith.constant": _Emitter._emit_constant,
-    "arith.select": _Emitter._emit_select,
-    "arith.cast": _Emitter._emit_cast,
-    "tt.get_program_id": _Emitter._emit_program_id,
-    "tt.get_num_programs": _Emitter._emit_num_programs,
-    "tt.make_range": _Emitter._emit_make_range,
-    "tt.splat": _Emitter._emit_splat,
-    "tt.full": _Emitter._emit_full,
-    "tt.expand_dims": _Emitter._emit_expand_dims,
-    "tt.broadcast": _Emitter._emit_broadcast,
-    "tt.trans": _Emitter._emit_trans,
-    "tt.reshape": _Emitter._emit_reshape,
-    "tt.where": _Emitter._emit_select,
-    "tt.reduce": _Emitter._emit_reduce,
-    "tt.addptr": _Emitter._emit_addptr,
-    "tt.load": _Emitter._emit_load,
-    "tt.store": _Emitter._emit_store,
-    "tt.tma_load": _Emitter._emit_tma_load,
-    "tt.tma_store": _Emitter._emit_tma_store,
-    "tt.dot": _Emitter._emit_dot,
-    "gpu.alloc_smem": _Emitter._emit_alloc_smem,
-    "gpu.smem_slice": _Emitter._emit_smem_slice,
-    "gpu.cp_async": _Emitter._emit_cp_async,
-    "gpu.cp_async_wait": _Emitter._emit_nothing,
-    "gpu.smem_read": _Emitter._emit_smem_read,
-    "gpu.smem_write": _Emitter._emit_smem_write,
-    "gpu.wgmma": _Emitter._emit_wgmma,
-    "gpu.wgmma_wait": _Emitter._emit_nothing,
-    "gpu.barrier_sync": _Emitter._emit_nothing,
-    "gpu.cta_id": _Emitter._emit_cta_id,
-    "gpu.num_ctas": _Emitter._emit_num_ctas,
-    "gpu.num_tiles": _Emitter._emit_num_tiles,
-    "gpu.warp_group_id": _Emitter._emit_warp_group_id,
-}
+        rank = len(self._view_shape(op.smem, "gpu.smem_write") or ())
+        self.line(source(op).format(view=self.ref(op.smem),
+                                    val=self._align(self.ref(op.value), op.value, rank)))
 
 
 # ---------------------------------------------------------------------------

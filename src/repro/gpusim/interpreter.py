@@ -5,6 +5,15 @@ Python generator per warp group; each generator yields
 :class:`repro.gpusim.engine.Effect` objects (delays, asynchronous issues,
 blocking waits) and performs the functional NumPy computation in between.
 
+It owns only the walk: value bindings in a ``Dict[Value, Any]``, structured
+control flow (``scf.for``, ``scf.if``, inline ``tawa.warp_group``) and the
+CTA prologue.  What each op *does* -- its payload, its timing, its effects --
+comes from the op-semantics table in :mod:`repro.gpusim.ops`, which
+execution plans and codegen read too.  Walking the IR per CTA is slow, but it
+is the simplest executor of the table, so ``Device(use_plans=False)`` keeps
+it as the differential oracle for plans (which batch, fold and unroll) and
+for the pool.
+
 Three levels of IR are executable, which is what the differential tests rely
 on:
 
@@ -19,64 +28,15 @@ on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.gpusim.config import H100Config
-from repro.gpusim.engine import (
-    ArefGet,
-    ArefPut,
-    ArefSlotRuntime,
-    CpAsyncIssue,
-    CpAsyncWait,
-    CtaBarrier,
-    Delay,
-    Effect,
-    Engine,
-    MBarrier,
-    NamedBarrier,
-    SimulationError,
-    SMResources,
-    TmaIssue,
-    WaitBarrier,
-    WgmmaIssue,
-    WgmmaWait,
-)
-from repro.gpusim.memory import Pointer, SmemTile, SmemTileView, SymbolicTile, TensorDesc
+from repro.gpusim.engine import Delay, Effect, Engine, NamedBarrier, SMResources
+from repro.gpusim.ops import CTA_INPUTS, OPS, RUN, InterpreterError, stand_in
 from repro.ir import FuncOp, Operation, Value
-from repro.ir.dialects import arith, gpu, scf, tawa, tt
-from repro.ir.types import ScalarType, TensorType
-
-
-class InterpreterError(SimulationError):
-    """Raised when the interpreter meets an op it cannot execute."""
-
-
-def _as_array(value: Any) -> Any:
-    """Materialize an SMEM view into an array; pass anything else through."""
-    if isinstance(value, SmemTileView):
-        return value.read()
-    return value
-
-
-@dataclass
-class ArefRuntime:
-    """Runtime state of a tawa.create_aref ring (mid-level interpretation)."""
-
-    depth: int
-    slots: list[ArefSlotRuntime] = field(default_factory=list)
-
-    @classmethod
-    def create(cls, depth: int, name: str) -> "ArefRuntime":
-        return cls(depth, [ArefSlotRuntime(f"{name}[{i}]") for i in range(depth)])
-
-    def slot(self, index: int) -> ArefSlotRuntime:
-        return self.slots[int(index) % self.depth]
-
+from repro.ir.dialects import scf, tawa
 
 @dataclass
 class LaunchContext:
@@ -120,23 +80,25 @@ class AgentSpec:
 
 
 class _WarpGroupExec:
-    """Executes one region of IR as a stream of effects for one warp group."""
+    """Executes one region of IR as a stream of effects for one warp group.
+
+    Every op goes through the table in :mod:`repro.gpusim.ops`; this class is
+    the table's *site* (``config``, ``work_fraction``, ``role``, ``delay``,
+    ``real``) and owns only structured control flow.
+    """
+
+    delay = Delay
 
     def __init__(self, cta: CtaContext, *, role: str, replica: int = 0,
                  replicas: int = 1, name: str = "wg"):
         self.cta = cta
-        self.launch = cta.launch
         self.config = cta.launch.config
-        self.engine = cta.engine
         self.functional = cta.launch.functional
         self.role = role
         self.replica = replica
-        self.replicas = max(1, replicas)
-        self.work_fraction = 1.0 / self.replicas
+        self.work_fraction = 1.0 / max(1, replicas)
         self.name = name
         self.env: dict[Value, Any] = dict(cta.env)
-
-    # -- value access ----------------------------------------------------------
 
     def get(self, value: Value) -> Any:
         try:
@@ -150,67 +112,52 @@ class _WarpGroupExec:
     def set(self, value: Value, runtime: Any) -> None:
         self.env[value] = runtime
 
-    # -- cost helpers ------------------------------------------------------------
-
-    def _cuda_cost(self, elements: int, transcendental: bool = False) -> float:
-        cycles = elements / self.config.cuda_lanes_per_warp_group
-        if transcendental:
-            cycles *= self.config.sfu_cost_factor
-        return cycles * self.work_fraction
-
-    def _tensor_elements(self, op: Operation) -> int:
-        for res in op.results:
-            if isinstance(res.type, TensorType):
-                return res.type.num_elements
-        return 0
-
-    # -- functional helpers --------------------------------------------------------
-
-    def _symbolic(self, ty: TensorType) -> SymbolicTile:
-        return SymbolicTile(tuple(ty.shape), ty.element_type)
-
-    def _tensor_result(self, op: Operation, compute) -> Any:
-        """Either run ``compute()`` (functional) or make a symbolic tile."""
-        ty = op.results[0].type
-        if not isinstance(ty, TensorType):
-            return compute()
-        if self.functional:
-            return compute()
-        return self._symbolic(ty)
-
-    _as_array = staticmethod(_as_array)
-
-    # ========================================================================
-    # Region execution
-    # ========================================================================
+    def real(self, op: Operation) -> bool:
+        return self.functional
 
     def run_block(self, block) -> Iterator[Effect]:
         for op in block.operations:
-            result = yield from self.execute_op(op)
-            del result
+            yield from self.execute_op(op)
 
     def execute_op(self, op: Operation) -> Iterator[Effect]:
-        handler = _HANDLERS.get(op.name)
-        if handler is None:
-            handler = self._fallback_handler(op)
-        yield from handler(self, op)
+        spec = OPS.get(op.name)
+        if spec is None:
+            yield from self._execute_structural(op)
+            return
+        if spec.cta is not None:
+            key = spec.cta(op)
+            self.set(op.result, self.replica if key == "replica"
+                     else CTA_INPUTS[key][0](self.cta))
+            return
+        values = [self.get(v) for v in op.operands]
+        if spec.run is not None:
+            out = yield from spec.run(op, self)(self.cta, *values)
+            for res, value in zip(op.results, out or ()):
+                self.set(res, value)
+            return
+        if spec.effects is not None:
+            yield from spec.effects(op, self)
+        value = stand_in(spec, op, self.functional)
+        if value is RUN:
+            if spec.payload is None:
+                return
+            fn = spec.payload(op, self)
+            value = fn(self.cta, *values) if spec.ctx else fn(*values)
+        if op.results:
+            self.set(op.results[0], value)
 
-    def _fallback_handler(self, op: Operation):
-        if isinstance(op, arith.BinaryOp):
-            return _WarpGroupExec._exec_binary
-        if isinstance(op, arith.UnaryOp):
-            return _WarpGroupExec._exec_unary
-        if isinstance(op, (arith.CmpIOp, arith.CmpFOp)):
-            return _WarpGroupExec._exec_cmp
-        raise InterpreterError(f"no interpreter handler for op {op.name!r}")
+    # -- structured control flow ---------------------------------------------
 
-    # ========================================================================
-    # Structured control flow
-    # ========================================================================
-
-    def _exec_func_return(self, op: Operation) -> Iterator[Effect]:
-        return
-        yield  # pragma: no cover
+    def _execute_structural(self, op: Operation) -> Iterator[Effect]:
+        if op.name == "scf.for":
+            yield from self._exec_scf_for(op)
+        elif op.name == "scf.if":
+            yield from self._exec_scf_if(op)
+        elif op.name == "tawa.warp_group":
+            # Only reached when a warp_group region is executed inline.
+            yield from self.run_block(op.body)
+        elif op.name not in ("func.return", "scf.yield"):
+            raise InterpreterError(f"no interpreter handler for op {op.name!r}")
 
     def _exec_scf_for(self, op: scf.ForOp) -> Iterator[Effect]:
         lb = int(self.get(op.lower_bound))
@@ -226,8 +173,7 @@ class _WarpGroupExec:
                 self.set(arg, val)
             for inner in body.operations[:-1]:
                 yield from self.execute_op(inner)
-            yield_op = body.terminator
-            carried = [self.get(v) for v in yield_op.operands]
+            carried = [self.get(v) for v in body.terminator.operands]
         for res, val in zip(op.results, carried):
             self.set(res, val)
 
@@ -245,572 +191,6 @@ class _WarpGroupExec:
         if term is not None and term.name == "scf.yield":
             for res, v in zip(op.results, term.operands):
                 self.set(res, self.get(v))
-
-    def _exec_scf_yield(self, op: Operation) -> Iterator[Effect]:
-        return
-        yield  # pragma: no cover
-
-    def _exec_warp_group(self, op: tawa.WarpGroupOp) -> Iterator[Effect]:
-        # Only reached when a warp_group region is executed inline (e.g. the
-        # setup agent walking top-level IR never does this).
-        yield from self.run_block(op.body)
-
-    # ========================================================================
-    # arith / math
-    # ========================================================================
-
-    def _exec_constant(self, op: arith.ConstantOp) -> Iterator[Effect]:
-        self.set(op.result, op.value)
-        return
-        yield  # pragma: no cover
-
-    def _exec_binary(self, op: arith.BinaryOp) -> Iterator[Effect]:
-        lhs = self._as_array(self.get(op.lhs))
-        rhs = self._as_array(self.get(op.rhs))
-        elements = self._tensor_elements(op)
-        if elements:
-            transcendental = op.name in ("arith.divf", "arith.powf")
-            yield Delay(self._cuda_cost(elements, transcendental))
-        result = self._tensor_result(op, lambda: op.py_impl(lhs, rhs))
-        if not isinstance(result, SymbolicTile) and isinstance(op.result.type, ScalarType):
-            result = _to_python_scalar(result, op.result.type)
-        self.set(op.result, result)
-
-    def _exec_unary(self, op: arith.UnaryOp) -> Iterator[Effect]:
-        operand = self._as_array(self.get(op.operands[0]))
-        elements = self._tensor_elements(op)
-        if elements:
-            yield Delay(self._cuda_cost(elements, transcendental=True))
-        result = self._tensor_result(op, lambda: op.py_impl(operand))
-        self.set(op.result, result)
-
-    def _exec_cmp(self, op: arith.CmpIOp) -> Iterator[Effect]:
-        lhs = self._as_array(self.get(op.operands[0]))
-        rhs = self._as_array(self.get(op.operands[1]))
-        elements = self._tensor_elements(op)
-        if elements:
-            yield Delay(self._cuda_cost(elements))
-        result = self._tensor_result(op, lambda: op.py_impl(lhs, rhs))
-        if isinstance(op.result.type, ScalarType) and not isinstance(result, SymbolicTile):
-            result = bool(result)
-        self.set(op.result, result)
-
-    def _exec_select(self, op: arith.SelectOp) -> Iterator[Effect]:
-        cond, x, y = (self._as_array(self.get(v)) for v in op.operands)
-        elements = self._tensor_elements(op)
-        if elements:
-            yield Delay(self._cuda_cost(elements))
-        result = self._tensor_result(op, lambda: np.where(cond, x, y))
-        self.set(op.result, result)
-
-    def _exec_cast(self, op: arith.CastOp) -> Iterator[Effect]:
-        operand = self._as_array(self.get(op.operands[0]))
-        ty = op.result.type
-        elements = self._tensor_elements(op)
-        if elements:
-            yield Delay(self._cuda_cost(elements))
-        if isinstance(ty, TensorType):
-            if self.functional:
-                self.set(op.result, np.asarray(operand, dtype=ty.element_type.numpy_dtype))
-            else:
-                self.set(op.result, self._symbolic(ty))
-        else:
-            value = operand
-            if isinstance(ty, ScalarType):
-                value = _to_python_scalar(value, ty)
-            self.set(op.result, value)
-
-    # ========================================================================
-    # tt dialect (tile level)
-    # ========================================================================
-
-    def _exec_program_id(self, op: tt.GetProgramIdOp) -> Iterator[Effect]:
-        self.set(op.result, self.cta.pid[op.axis])
-        return
-        yield  # pragma: no cover
-
-    def _exec_num_programs(self, op: tt.GetNumProgramsOp) -> Iterator[Effect]:
-        self.set(op.result, self.launch.grid[op.axis])
-        return
-        yield  # pragma: no cover
-
-    def _exec_make_range(self, op: tt.MakeRangeOp) -> Iterator[Effect]:
-        result = self._tensor_result(op, lambda: np.arange(op.start, op.end, dtype=np.int64))
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_splat(self, op: tt.SplatOp) -> Iterator[Effect]:
-        scalar = self.get(op.operands[0])
-        ty = op.result.type
-        if isinstance(scalar, Pointer):
-            # Splatting a scalar pointer produces the same pointer with zero offsets.
-            self.set(op.result, scalar)
-            return
-        result = self._tensor_result(
-            op, lambda: np.full(ty.shape, scalar, dtype=ty.element_type.numpy_dtype)
-        )
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_full(self, op: tt.FullOp) -> Iterator[Effect]:
-        ty = op.result.type
-        result = self._tensor_result(
-            op, lambda: np.full(ty.shape, op.value, dtype=ty.element_type.numpy_dtype)
-        )
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_expand_dims(self, op: tt.ExpandDimsOp) -> Iterator[Effect]:
-        operand = self.get(op.operands[0])
-        if isinstance(operand, Pointer):
-            offs = operand.offsets
-            if self.functional and isinstance(offs, np.ndarray):
-                operand = Pointer(operand.buffer, np.expand_dims(offs, op.axis))
-            self.set(op.result, operand)
-            return
-        result = self._tensor_result(op, lambda: np.expand_dims(self._as_array(operand), op.axis))
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_broadcast(self, op: tt.BroadcastOp) -> Iterator[Effect]:
-        operand = self._as_array(self.get(op.operands[0]))
-        ty = op.result.type
-        result = self._tensor_result(op, lambda: np.broadcast_to(operand, ty.shape).copy())
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_trans(self, op: tt.TransOp) -> Iterator[Effect]:
-        operand = self.get(op.operands[0])
-        if isinstance(operand, SmemTileView):
-            # Transposition of an operand resident in SMEM is handled by the
-            # WGMMA descriptor; keep the view and let wgmma transpose.
-            self.set(op.result, _TransposedView(operand))
-            return
-        result = self._tensor_result(op, lambda: np.transpose(self._as_array(operand)))
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_reshape(self, op: tt.ReshapeOp) -> Iterator[Effect]:
-        operand = self._as_array(self.get(op.operands[0]))
-        ty = op.result.type
-        result = self._tensor_result(op, lambda: np.reshape(operand, ty.shape))
-        self.set(op.result, result)
-        return
-        yield  # pragma: no cover
-
-    def _exec_where(self, op: tt.WhereOp) -> Iterator[Effect]:
-        cond, x, y = (self._as_array(self.get(v)) for v in op.operands)
-        elements = self._tensor_elements(op)
-        if elements:
-            yield Delay(self._cuda_cost(elements))
-        result = self._tensor_result(op, lambda: np.where(cond, x, y))
-        self.set(op.result, result)
-
-    def _exec_reduce(self, op: tt.ReduceOp) -> Iterator[Effect]:
-        operand = self._as_array(self.get(op.operands[0]))
-        src_type = op.operands[0].type
-        src_elems = src_type.num_elements if isinstance(src_type, TensorType) else 0
-        if src_elems:
-            yield Delay(self._cuda_cost(src_elems) * 2.0)
-        fn = {"max": np.max, "min": np.min, "sum": np.sum}[op.kind]
-        ty = op.results[0].type
-
-        def compute():
-            out = fn(operand, axis=op.axis)
-            return out
-
-        if isinstance(ty, TensorType):
-            result = self._tensor_result(op, compute)
-        else:
-            result = compute() if self.functional else 0.0
-        self.set(op.results[0], result)
-
-    def _exec_addptr(self, op: tt.AddPtrOp) -> Iterator[Effect]:
-        ptr = self.get(op.operands[0])
-        offset = self._as_array(self.get(op.operands[1]))
-        if not isinstance(ptr, Pointer):
-            raise InterpreterError(f"tt.addptr on non-pointer runtime value {ptr!r}")
-        if self.functional and not isinstance(offset, SymbolicTile):
-            self.set(op.result, ptr.offset_by(np.asarray(offset, dtype=np.int64)
-                                              if not np.isscalar(offset) else int(offset)))
-        else:
-            self.set(op.result, Pointer(ptr.buffer, SymbolicTile(
-                tuple(op.result.type.shape) if isinstance(op.result.type, TensorType) else (),
-                ptr.element_type)))
-        return
-        yield  # pragma: no cover
-
-    def _exec_load(self, op: tt.LoadOp) -> Iterator[Effect]:
-        ptr = self.get(op.ptr)
-        elements = self._tensor_elements(op) or 1
-        yield Delay(self.config.global_load_latency_cycles * self.work_fraction
-                    + self._cuda_cost(elements))
-        if not self.functional:
-            ty = op.result.type
-            self.set(op.result, self._symbolic(ty) if isinstance(ty, TensorType) else 0)
-            return
-        mask = self.get(op.mask) if op.mask is not None else None
-        offsets = ptr.offsets if isinstance(ptr, Pointer) else 0
-        gathered = ptr.buffer.gather(np.asarray(offsets), mask)
-        if not isinstance(op.result.type, TensorType):
-            self.set(op.result, _to_python_scalar(gathered.reshape(()), op.result.type))
-        else:
-            self.set(op.result, gathered)
-
-    def _exec_store(self, op: tt.StoreOp) -> Iterator[Effect]:
-        ptr = self.get(op.ptr)
-        value = self._as_array(self.get(op.value))
-        elements = (op.value.type.num_elements
-                    if isinstance(op.value.type, TensorType) else 1)
-        yield Delay(elements / self.config.global_store_elements_per_cycle * self.work_fraction)
-        if not self.functional or not isinstance(ptr, Pointer):
-            return
-        if isinstance(ptr.offsets, SymbolicTile) or isinstance(value, SymbolicTile):
-            return
-        mask = self.get(op.mask) if op.mask is not None else None
-        ptr.buffer.scatter(np.asarray(ptr.offsets), value, mask)
-
-    def _exec_tma_load_sync(self, op: tt.TmaLoadOp) -> Iterator[Effect]:
-        """Un-lowered tt.tma_load: a blocking copy (no pipelining, no WS)."""
-        desc: TensorDesc = self.get(op.desc)
-        coords = [int(self.get(c)) for c in op.coords]
-        num_bytes = desc.tile_bytes(op.tile_shape)
-        yield Delay(self.config.tma_issue_cycles)
-        yield Delay(self.config.tma_latency_cycles + self.config.tma_cycles(num_bytes))
-        if self.functional:
-            self.set(op.result, desc.buffer.read_tile(coords, op.tile_shape))
-        else:
-            self.set(op.result, self._symbolic(op.result.type))
-
-    def _exec_tma_store(self, op: tt.TmaStoreOp) -> Iterator[Effect]:
-        desc: TensorDesc = self.get(op.desc)
-        value = self._as_array(self.get(op.value))
-        elements = op.value.type.num_elements if isinstance(op.value.type, TensorType) else 1
-        yield Delay(elements / self.config.global_store_elements_per_cycle * self.work_fraction)
-        if self.functional and not isinstance(value, SymbolicTile):
-            coords = [int(self.get(c)) for c in op.coords]
-            desc.buffer.write_tile(coords, np.asarray(value))
-
-    def _exec_dot_sync(self, op: tt.DotOp) -> Iterator[Effect]:
-        """Un-lowered tt.dot: issue a WGMMA and wait for it immediately."""
-        a = self._as_array(self.get(op.a))
-        b = self._as_array(self.get(op.b))
-        acc = self._as_array(self.get(op.acc)) if op.acc is not None else None
-        ty = op.result.type
-        dtype_bits = op.a.type.element_type.bitwidth
-        yield Delay(self.config.wgmma_issue_cycles)
-        yield WgmmaIssue(op.flops * self.work_fraction, dtype_bits, ty.shape[1], chain=op)
-        if not op.get_attr("tawa.async", False):
-            yield WgmmaWait(0)
-        result = self._tensor_result(op, lambda: _matmul(a, b, acc))
-        self.set(op.result, result)
-
-    # ========================================================================
-    # tawa dialect (mid-level)
-    # ========================================================================
-
-    def _exec_create_aref(self, op: tawa.CreateArefOp) -> Iterator[Effect]:
-        name = op.get_attr("aref_name", f"aref{op.results[0].id}")
-        self.set(op.result, ArefRuntime.create(op.depth, name))
-        if self.launch.sanitize and self.cta.sanitizer is None:
-            # Lazy import: repro.analysis sits above the gpusim package.
-            from repro.analysis.sanitizer import CtaSanitizer
-
-            self.cta.sanitizer = CtaSanitizer(f"cta{self.cta.linear_id}")
-        return
-        yield  # pragma: no cover
-
-    def _exec_aref_slot(self, op: tawa.ArefSlotOp) -> Iterator[Effect]:
-        ring: ArefRuntime = self.get(op.aref)
-        index = int(self.get(op.index))
-        self.set(op.result, ring.slot(index))
-        return
-        yield  # pragma: no cover
-
-    def _exec_put(self, op: tawa.PutOp) -> Iterator[Effect]:
-        slot: ArefSlotRuntime = self.get(op.slot)
-        yield Delay(self.config.aref_op_cycles)
-        yield ArefPut(slot)
-        payload = tuple(self.get(v) for v in op.values)
-        slot.do_put(payload)
-        if self.cta.sanitizer is not None:
-            self.cta.sanitizer.record("put", slot, self.role)
-        self.engine.notify_aref(slot)
-
-    def _exec_get(self, op: tawa.GetOp) -> Iterator[Effect]:
-        slot: ArefSlotRuntime = self.get(op.slot)
-        yield Delay(self.config.aref_op_cycles)
-        yield ArefGet(slot)
-        payload = slot.do_get()
-        if self.cta.sanitizer is not None:
-            self.cta.sanitizer.record("get", slot, self.role)
-        for res, value in zip(op.results, payload):
-            self.set(res, value)
-        self.engine.notify_aref(slot)
-
-    def _exec_consumed(self, op: tawa.ConsumedOp) -> Iterator[Effect]:
-        slot: ArefSlotRuntime = self.get(op.slot)
-        yield Delay(self.config.aref_op_cycles)
-        slot.do_consumed()
-        if self.cta.sanitizer is not None:
-            self.cta.sanitizer.record("consumed", slot, self.role)
-        self.engine.notify_aref(slot)
-
-    # ========================================================================
-    # gpu dialect (lowered)
-    # ========================================================================
-
-    def _exec_alloc_smem(self, op: gpu.AllocSmemOp) -> Iterator[Effect]:
-        ty = op.buffer_type
-        tile = SmemTile(ty.shape, ty.element_type, self.functional,
-                        name=op.get_attr("buf_name", f"smem{op.result.id}"))
-        self.cta.smem_bytes += ty.num_bytes
-        self.set(op.result, tile)
-        return
-        yield  # pragma: no cover
-
-    def _exec_smem_slice(self, op: gpu.SmemSliceOp) -> Iterator[Effect]:
-        tile: SmemTile = self.get(op.buffer)
-        index = int(self.get(op.index))
-        self.set(op.result, tile.slice(index))
-        return
-        yield  # pragma: no cover
-
-    def _exec_mbarrier_alloc(self, op: gpu.MBarrierAllocOp) -> Iterator[Effect]:
-        name = op.get_attr("barrier_name", f"mbar{op.results[0].id}")
-        barriers = [MBarrier(op.arrive_count, f"{name}[{i}]") for i in range(op.count)]
-        self.set(op.results[0], barriers)
-        return
-        yield  # pragma: no cover
-
-    def _barrier_slot(self, mbar_value: Value, index_value: Value) -> MBarrier:
-        barriers: list[MBarrier] = self.get(mbar_value)
-        index = int(self.get(index_value)) % len(barriers)
-        return barriers[index]
-
-    def _exec_mbarrier_arrive(self, op: gpu.MBarrierArriveOp) -> Iterator[Effect]:
-        bar = self._barrier_slot(op.mbarrier, op.index)
-        yield Delay(self.config.mbarrier_op_cycles)
-        if bar.arrive():
-            self.engine.notify_barrier(bar)
-
-    def _exec_mbarrier_expect_tx(self, op: gpu.MBarrierExpectTxOp) -> Iterator[Effect]:
-        bar = self._barrier_slot(op.mbarrier, op.index)
-        yield Delay(self.config.mbarrier_op_cycles)
-        if bar.expect_tx(op.bytes):
-            self.engine.notify_barrier(bar)
-
-    def _exec_mbarrier_wait(self, op: gpu.MBarrierWaitOp) -> Iterator[Effect]:
-        bar = self._barrier_slot(op.mbarrier, op.index)
-        generation = int(self.get(op.generation))
-        yield Delay(self.config.mbarrier_op_cycles)
-        yield WaitBarrier(bar, generation)
-
-    def _exec_tma_async_load(self, op: gpu.TmaAsyncLoadOp) -> Iterator[Effect]:
-        desc: TensorDesc = self.get(op.desc)
-        coords = [int(self.get(c)) for c in op.coords]
-        view: SmemTileView = self.get(op.smem)
-        bar = self._barrier_slot(op.mbarrier, op.mbarrier_index)
-        num_bytes = op.bytes
-        on_complete = None
-        if self.functional:
-            tile = desc.buffer.read_tile(coords, view.shape)
-            on_complete = partial(view.write, tile)
-        yield Delay(self.config.tma_issue_cycles)
-        yield TmaIssue(num_bytes, barrier=bar, on_complete=on_complete)
-
-    def _exec_cp_async(self, op: gpu.CpAsyncOp) -> Iterator[Effect]:
-        desc: TensorDesc = self.get(op.desc)
-        coords = [int(self.get(c)) for c in op.coords]
-        view: SmemTileView = self.get(op.smem)
-        num_bytes = op.bytes
-        on_complete = None
-        if self.functional:
-            tile = desc.buffer.read_tile(coords, view.shape)
-            on_complete = partial(view.write, tile)
-        issue = num_bytes / 1024.0 * self.config.cp_async_issue_cycles_per_kb
-        yield Delay(issue * self.work_fraction)
-        yield CpAsyncIssue(num_bytes, on_complete=on_complete)
-
-    def _exec_cp_async_wait(self, op: gpu.CpAsyncWaitOp) -> Iterator[Effect]:
-        yield Delay(self.config.cp_async_wait_cycles)
-        yield CpAsyncWait(op.pendings)
-
-    def _exec_smem_read(self, op: gpu.SmemReadOp) -> Iterator[Effect]:
-        view: SmemTileView = self.get(op.smem)
-        elements = op.result.type.num_elements
-        yield Delay(self._cuda_cost(elements) * 0.25)
-        if self.functional:
-            self.set(op.result, np.asarray(view.read()))
-        else:
-            self.set(op.result, self._symbolic(op.result.type))
-
-    def _exec_smem_write(self, op: gpu.SmemWriteOp) -> Iterator[Effect]:
-        view: SmemTileView = self.get(op.smem)
-        value = self.get(op.value)
-        elements = op.value.type.num_elements if isinstance(op.value.type, TensorType) else 1
-        yield Delay(self._cuda_cost(elements) * 0.5)
-        if self.functional and not isinstance(value, SymbolicTile):
-            view.write(np.asarray(value))
-
-    def _exec_wgmma(self, op: gpu.WgmmaOp) -> Iterator[Effect]:
-        a_val = self.get(op.a)
-        b_val = self.get(op.b)
-        acc = self._as_array(self.get(op.acc))
-        dtype_bits = _operand_bits(op.a) or 16
-        acc_n = op.result.type.shape[1]
-        yield Delay(self.config.wgmma_issue_cycles)
-        yield WgmmaIssue(op.flops * self.work_fraction, dtype_bits, acc_n, chain=op)
-
-        def compute():
-            a = _resolve_operand(a_val)
-            b = _resolve_operand(b_val)
-            if op.transpose_b:
-                b = np.transpose(b)
-            return _matmul(a, b, acc)
-
-        result = self._tensor_result(op, compute)
-        self.set(op.result, result)
-
-    def _exec_wgmma_wait(self, op: gpu.WgmmaWaitOp) -> Iterator[Effect]:
-        yield WgmmaWait(op.pendings)
-
-    def _exec_cta_id(self, op: gpu.CtaIdOp) -> Iterator[Effect]:
-        self.set(op.result, self.cta.linear_id)
-        return
-        yield  # pragma: no cover
-
-    def _exec_num_ctas(self, op: gpu.NumCtasOp) -> Iterator[Effect]:
-        g = self.launch.launched_grid
-        self.set(op.result, g[0] * g[1] * g[2])
-        return
-        yield  # pragma: no cover
-
-    def _exec_num_tiles(self, op: gpu.NumTilesOp) -> Iterator[Effect]:
-        self.set(op.result, self.launch.num_tiles)
-        return
-        yield  # pragma: no cover
-
-    def _exec_warp_group_id(self, op: gpu.WarpGroupIdOp) -> Iterator[Effect]:
-        self.set(op.result, self.replica)
-        return
-        yield  # pragma: no cover
-
-    def _exec_barrier_sync(self, op: gpu.BarrierSyncOp) -> Iterator[Effect]:
-        if self.cta.named_barrier is None or self.cta.named_barrier.count <= 1:
-            yield Delay(self.config.barrier_sync_cycles)
-            return
-        yield Delay(self.config.barrier_sync_cycles)
-        yield CtaBarrier(self.cta.named_barrier)
-
-
-class _TransposedView:
-    """Marker wrapping an SMEM view whose logical layout is transposed."""
-
-    def __init__(self, view: SmemTileView):
-        self.view = view
-        self.shape = tuple(reversed(view.shape))
-        self.element_type = view.element_type
-
-    def read(self):
-        data = self.view.read()
-        if isinstance(data, SymbolicTile):
-            return SymbolicTile(self.shape, self.element_type)
-        return np.transpose(data)
-
-
-def _resolve_operand(value: Any) -> Any:
-    if isinstance(value, (SmemTileView, _TransposedView)):
-        return value.read()
-    return value
-
-
-def _operand_bits(value: Value) -> int | None:
-    ty = value.type
-    elem = getattr(ty, "element_type", None)
-    if isinstance(elem, ScalarType):
-        return elem.bitwidth
-    return None
-
-
-def _matmul(a, b, acc):
-    if isinstance(a, SymbolicTile) or isinstance(b, SymbolicTile):
-        shape = (a.shape[0], b.shape[1])
-        return SymbolicTile(shape, a.dtype)
-    out = np.matmul(np.asarray(a, dtype=np.float32), np.asarray(b, dtype=np.float32))
-    if acc is not None and not isinstance(acc, SymbolicTile):
-        out = out + np.asarray(acc, dtype=np.float32)
-    return out
-
-
-def _to_python_scalar(value: Any, ty: ScalarType):
-    if isinstance(value, SymbolicTile):
-        return value
-    if hasattr(value, "item"):
-        value = value.item()
-    if ty.is_integer and ty.name != "i1":
-        return int(value)
-    if ty.name == "i1":
-        return bool(value)
-    return float(value)
-
-
-_HANDLERS = {
-    "func.return": _WarpGroupExec._exec_func_return,
-    "scf.for": _WarpGroupExec._exec_scf_for,
-    "scf.if": _WarpGroupExec._exec_scf_if,
-    "scf.yield": _WarpGroupExec._exec_scf_yield,
-    "tawa.warp_group": _WarpGroupExec._exec_warp_group,
-    "arith.constant": _WarpGroupExec._exec_constant,
-    "arith.select": _WarpGroupExec._exec_select,
-    "arith.cast": _WarpGroupExec._exec_cast,
-    "tt.get_program_id": _WarpGroupExec._exec_program_id,
-    "tt.get_num_programs": _WarpGroupExec._exec_num_programs,
-    "tt.make_range": _WarpGroupExec._exec_make_range,
-    "tt.splat": _WarpGroupExec._exec_splat,
-    "tt.full": _WarpGroupExec._exec_full,
-    "tt.expand_dims": _WarpGroupExec._exec_expand_dims,
-    "tt.broadcast": _WarpGroupExec._exec_broadcast,
-    "tt.trans": _WarpGroupExec._exec_trans,
-    "tt.reshape": _WarpGroupExec._exec_reshape,
-    "tt.where": _WarpGroupExec._exec_where,
-    "tt.reduce": _WarpGroupExec._exec_reduce,
-    "tt.addptr": _WarpGroupExec._exec_addptr,
-    "tt.load": _WarpGroupExec._exec_load,
-    "tt.store": _WarpGroupExec._exec_store,
-    "tt.tma_load": _WarpGroupExec._exec_tma_load_sync,
-    "tt.tma_store": _WarpGroupExec._exec_tma_store,
-    "tt.dot": _WarpGroupExec._exec_dot_sync,
-    "tawa.create_aref": _WarpGroupExec._exec_create_aref,
-    "tawa.aref_slot": _WarpGroupExec._exec_aref_slot,
-    "tawa.put": _WarpGroupExec._exec_put,
-    "tawa.get": _WarpGroupExec._exec_get,
-    "tawa.consumed": _WarpGroupExec._exec_consumed,
-    "gpu.alloc_smem": _WarpGroupExec._exec_alloc_smem,
-    "gpu.smem_slice": _WarpGroupExec._exec_smem_slice,
-    "gpu.mbarrier_alloc": _WarpGroupExec._exec_mbarrier_alloc,
-    "gpu.mbarrier_arrive": _WarpGroupExec._exec_mbarrier_arrive,
-    "gpu.mbarrier_expect_tx": _WarpGroupExec._exec_mbarrier_expect_tx,
-    "gpu.mbarrier_wait": _WarpGroupExec._exec_mbarrier_wait,
-    "gpu.tma_async_load": _WarpGroupExec._exec_tma_async_load,
-    "gpu.cp_async": _WarpGroupExec._exec_cp_async,
-    "gpu.cp_async_wait": _WarpGroupExec._exec_cp_async_wait,
-    "gpu.smem_read": _WarpGroupExec._exec_smem_read,
-    "gpu.smem_write": _WarpGroupExec._exec_smem_write,
-    "gpu.wgmma": _WarpGroupExec._exec_wgmma,
-    "gpu.wgmma_wait": _WarpGroupExec._exec_wgmma_wait,
-    "gpu.cta_id": _WarpGroupExec._exec_cta_id,
-    "gpu.num_ctas": _WarpGroupExec._exec_num_ctas,
-    "gpu.num_tiles": _WarpGroupExec._exec_num_tiles,
-    "gpu.warp_group_id": _WarpGroupExec._exec_warp_group_id,
-    "gpu.barrier_sync": _WarpGroupExec._exec_barrier_sync,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -1,77 +1,52 @@
 """Compile-once execution plans for the GPU simulator.
 
 The IR interpreter (:mod:`repro.gpusim.interpreter`) re-walks the kernel IR
-for every simulated CTA: each op pays a ``_HANDLERS`` dict dispatch, every
-value access hashes a :class:`~repro.ir.operation.Value` into a dict, and
-``scf.for`` bodies are re-traversed once per iteration.  All of that work is
-identical across the CTAs of one launch -- only program-id-dependent *data*
-differs -- so this module performs it exactly once per
-:class:`~repro.core.compiler.CompiledKernel` and turns each warp-group region
-into a flat, pre-bound instruction stream:
+for every simulated CTA: every value access hashes a
+:class:`~repro.ir.operation.Value` into a dict, every op re-binds its table
+entry, and ``scf.for`` bodies are re-traversed once per iteration.  All of
+that work is identical across the CTAs of one launch -- only
+program-id-dependent *data* differs -- so this module performs it exactly once
+per :class:`~repro.core.compiler.CompiledKernel` and turns each warp-group
+region into a flat, pre-bound instruction stream.
+
+What each op computes and costs comes from the op-semantics table
+(:mod:`repro.gpusim.ops`), the same entries the interpreter executes.  The
+builder's own jobs are:
 
 * **Register slots** -- every SSA value is assigned an index into a flat
-  Python list; handlers become closures over integer slot indices instead of
-  ``Dict[Value, Any]`` lookups.
-* **Plan-time constant folding** -- ``arith.constant`` chains,
-  ``tt.make_range`` / ``tt.full`` / shape ops and scalar arithmetic over
+  Python list; table payloads are wrapped in slot-bound closures generated
+  once per arity (:func:`_binder`), with the table's scalar fast paths for
+  Python ``int``/``float`` operands.
+* **Plan-time constant folding** -- foldable ops whose operands are all
   constants are evaluated while building the plan and materialized in the
   register-file template shared by all CTAs.
 * **Loop compilation** -- constant-trip-count ``scf.for`` bodies are unrolled
   (induction-variable arithmetic folds away); dynamic loops get a compiled
   body executed by a tight driver loop instead of an IR re-walk.
-* **Effect pre-binding** -- delay cycles are computed from static types at
-  plan time and yielded as *reused* :class:`~repro.gpusim.engine.Delay` /
-  :class:`~repro.gpusim.engine.WgmmaIssue` instances; runs of agent-local
-  delay ops are batched into a single :class:`~repro.gpusim.engine.DelayChain`
-  so the engine schedules one event instead of N.
+* **Effect pre-binding and coalescing** -- the table's static effects are
+  built once and yielded as *reused* instances; runs of agent-local delay
+  ops are batched into a single :class:`~repro.gpusim.engine.DelayChain` so
+  the engine schedules one event instead of N.
+* **The observer variant** of cooperative consumer replicas (see
+  :class:`RegionPlan`).
 
-The emitted streams replicate the interpreter's operational semantics
-step-for-step (the differential tests in ``tests/test_plan_differential.py``
-assert identical simulated cycle counts and functional outputs); the
-interpreter remains available behind ``Device(use_plans=False)`` as the
-differential-testing oracle.
+The differential tests in ``tests/test_plan_differential.py`` assert
+identical simulated cycle counts and functional outputs against the
+interpreter, which remains available behind ``Device(use_plans=False)`` as
+the differential-testing oracle.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import partial
 from collections.abc import Callable, Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.gpusim.config import H100Config
-from repro.gpusim.engine import (
-    ArefGet,
-    ArefPut,
-    CpAsyncIssue,
-    CpAsyncWait,
-    CtaBarrier,
-    Delay,
-    DelayChain,
-    MBarrier,
-    NamedBarrier,
-    TmaIssue,
-    WaitBarrier,
-    WgmmaIssue,
-    WgmmaWait,
-)
-from repro.gpusim.interpreter import (
-    AgentSpec,
-    ArefRuntime,
-    CtaContext,
-    InterpreterError,
-    _as_array,
-    _matmul,
-    _operand_bits,
-    _resolve_operand,
-    _to_python_scalar,
-    _TransposedView,
-)
-from repro.gpusim.memory import Pointer, SmemTile, SmemTileView, SymbolicTile
+from repro.gpusim.engine import Delay, DelayChain, NamedBarrier
+from repro.gpusim.interpreter import AgentSpec, CtaContext
+from repro.gpusim.ops import CTA_INPUTS, OPS, RUN, InterpreterError, OpDef, stand_in
 from repro.ir import FuncOp, Operation, Value
-from repro.ir.dialects import arith, gpu, scf, tawa, tt
+from repro.ir.dialects import scf, tawa
 from repro.ir.types import ScalarType, TensorType
 
 
@@ -150,8 +125,8 @@ class ExecutionPlan:
         self.config = config
         self.template: list[Any] = []
         self.arg_slots: list[int] = []
-        #: (slot, kind) pairs resolved per CTA at instantiation time.
-        self.cta_inputs: list[tuple[int, str]] = []
+        #: (slot, getter) pairs resolved per CTA at instantiation time.
+        self.cta_inputs: list[tuple[int, Callable]] = []
         self.prologue_fns: list[Callable] = []
         self.prologue_cycles: float = 0.0
         self.regions: list[RegionPlan] = []
@@ -170,30 +145,8 @@ class ExecutionPlan:
         regs = self.template.copy()
         for slot, value in zip(self.arg_slots, arg_values):
             regs[slot] = value
-        if self.cta_inputs:
-            launch = cta.launch
-            for slot, kind in self.cta_inputs:
-                if kind == "pid0":
-                    regs[slot] = cta.pid[0]
-                elif kind == "pid1":
-                    regs[slot] = cta.pid[1]
-                elif kind == "pid2":
-                    regs[slot] = cta.pid[2]
-                elif kind == "nprog0":
-                    regs[slot] = launch.grid[0]
-                elif kind == "nprog1":
-                    regs[slot] = launch.grid[1]
-                elif kind == "nprog2":
-                    regs[slot] = launch.grid[2]
-                elif kind == "cta_id":
-                    regs[slot] = cta.linear_id
-                elif kind == "num_ctas":
-                    g = launch.launched_grid
-                    regs[slot] = g[0] * g[1] * g[2]
-                elif kind == "num_tiles":
-                    regs[slot] = launch.num_tiles
-                else:  # pragma: no cover - internal invariant
-                    raise PlanError(f"unknown CTA input kind {kind!r}")
+        for slot, get in self.cta_inputs:
+            regs[slot] = get(cta)
 
         if not self.warp_specialized:
             agent_regs = regs
@@ -226,24 +179,73 @@ class ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 
-#: Ops whose PURE closures are deterministic, ctx-free and side-effect-free,
-#: so they can be evaluated at plan time when all operand slots are constant.
-_FOLDABLE = frozenset([
-    "arith.select", "arith.cast",
-    "tt.make_range", "tt.splat", "tt.full", "tt.expand_dims", "tt.broadcast",
-    "tt.trans", "tt.reshape", "tt.where",
-])
+_MAKERS: dict[tuple, Callable] = {}
 
-#: Ops whose runtime value may be (or wrap) a shared-memory view; reads of a
-#: tainted value are time-sensitive, so delay batching must not move them.
-_TAINT_SOURCES = frozenset([
-    "gpu.alloc_smem", "gpu.smem_slice", "gpu.mbarrier_alloc",
-    "tawa.create_aref", "tawa.aref_slot", "tawa.get",
-])
+
+def _binder(arity: int, ctx: bool, result: bool, gen: bool) -> Callable:
+    """The factory of slot-bound steps for payloads of one shape.
+
+    ``_binder(2, False, True, False)(f, rd, a, b)`` returns
+    ``step(regs, ctx)`` running ``regs[rd] = f(regs[a], regs[b])``.  The
+    source is generated once per (arity, ctx, result, gen), so a step reads
+    its operand slots with no argument packing on the hot path.  A ``gen``
+    step returns the table's ``run`` generator (a GEN step's engine
+    interaction); one with results drives it and binds its result tuple to
+    the slots in ``rd``.
+    """
+    key = (arity, ctx, result, gen)
+    make = _MAKERS.get(key)
+    if make is not None:
+        return make
+    slots = [f"s{i}" for i in range(arity)]
+    args = ", ".join(["ctx"] * ctx + [f"regs[{s}]" for s in slots])
+    if gen and result:
+        body = (f"out = yield from f({args})\n"
+                "        for dst, value in zip(rd, out):\n"
+                "            regs[dst] = value\n")
+    else:
+        body = ("return " if gen else "regs[rd] = " if result else "") + f"f({args})\n"
+    namespace: dict[str, Any] = {}
+    exec(f"def make({', '.join(['f', 'rd', *slots])}):\n"
+         f"    def step(regs, ctx):\n        {body}"
+         f"    return step\n", namespace)
+    make = _MAKERS[key] = namespace["make"]
+    return make
+
+
+def _fast_step(fast: Callable, types: tuple, slow: Callable, rd: int, ls: int,
+               rs: int) -> Callable:
+    """A scalar binary step taking the table's Python-operator fast path.
+
+    Guarded on the operand types so the result is *provably* the value the
+    NumPy payload would produce; anything else (NumPy scalars, division by
+    zero) falls through to the payload.
+    """
+    def step(regs, ctx):
+        lhs = regs[ls]
+        rhs = regs[rs]
+        if type(lhs) in types and type(rhs) in types:
+            try:
+                regs[rd] = fast(lhs, rhs)
+                return
+            except ZeroDivisionError:
+                pass
+        regs[rd] = slow(lhs, rhs)
+    return step
+
+
+def _constant_step(rd: int, value: Any) -> Callable:
+    def step(regs, ctx):
+        regs[rd] = value
+    return step
 
 
 class _PlanBuilder:
-    """Walks a function's IR once and emits the pre-bound step streams."""
+    """Walks a function's IR once and emits the pre-bound step streams.
+
+    The builder is the op table's *site* while it binds an op: ``config``,
+    ``work_fraction``, ``role``, ``delay`` and ``real``.
+    """
 
     def __init__(self, plan: ExecutionPlan, func: FuncOp, config: H100Config,
                  functional: bool):
@@ -253,6 +255,7 @@ class _PlanBuilder:
         self.functional = functional
         #: True while emitting the observer variant of a replicated region.
         self.observer = False
+        self.role = "setup"
         self.slots: dict[Value, int] = {}
         self.const: dict[int, bool] = {}
         self.cta_input_cache: dict[str, int] = {}
@@ -262,6 +265,9 @@ class _PlanBuilder:
         self.ops_emitted = 0
         self.tainted: set = set()
         self._delay_cache: dict[float, Delay] = {}
+        #: op -> its bound table entry in the variant being built; unrolled
+        #: loops emit the same op once per iteration.
+        self._bound: dict[Operation, tuple] = {}
 
     # -- slot management -------------------------------------------------------
 
@@ -297,8 +303,10 @@ class _PlanBuilder:
         if slot is None:
             slot = self.new_slot()
             self.cta_input_cache[kind] = slot
-            self.plan.cta_inputs.append((slot, kind))
+            self.plan.cta_inputs.append((slot, CTA_INPUTS[kind][0]))
         self.alias(value, slot)
+
+    # -- the table's site protocol ---------------------------------------------
 
     def delay(self, cycles: float) -> Delay:
         """A shared Delay instance (the engine never mutates effects)."""
@@ -308,38 +316,20 @@ class _PlanBuilder:
             self._delay_cache[cycles] = d
         return d
 
-    @property
-    def tensor_real(self) -> bool:
-        """Whether tensor results carry real data in the variant being built."""
-        return self.functional and not self.observer
+    def real(self, op: Operation) -> bool:
+        """Whether ``op``'s data is real in the variant being built.
 
-    # -- cost helpers (mirror _WarpGroupExec) ---------------------------------
-
-    def cuda_cost(self, elements: int, transcendental: bool = False) -> float:
-        cycles = elements / self.config.cuda_lanes_per_warp_group
-        if transcendental:
-            cycles *= self.config.sfu_cost_factor
-        return cycles * self.work_fraction
-
-    @staticmethod
-    def tensor_elements(op: Operation) -> int:
-        for res in op.results:
-            if isinstance(res.type, TensorType):
-                return res.type.num_elements
-        return 0
+        Scalar results stay real in the observer variant: control flow (loop
+        bounds, predicates) may depend on them and must match replica 0.
+        """
+        if not self.functional:
+            return False
+        return not self.observer or (bool(op.results) and not any(
+            isinstance(r.type, TensorType) for r in op.results))
 
     # -- step emission ---------------------------------------------------------
 
-    def emit_pure(self, op: Operation, fn: Callable, foldable: bool = False,
-                  movable: bool = True) -> None:
-        if foldable and op.name in _FOLDABLE and all(
-            self.is_const(self.slots[v]) for v in op.operands if v in self.slots
-        ) and all(v in self.slots for v in op.operands):
-            fn(self.plan.template, None)
-            for res in op.results:
-                if res in self.slots:
-                    self.const[self.slots[res]] = True
-            return
+    def emit_pure(self, fn: Callable, movable: bool = True) -> None:
         self.steps.append((PURE, fn, movable))
 
     def emit_effect(self, effect, fn: Callable | None,
@@ -358,12 +348,8 @@ class _PlanBuilder:
         while changed:
             changed = False
             for op in func.walk():
-                out = False
-                if op.name in _TAINT_SOURCES:
-                    out = True
-                elif op.name == "tt.trans" and op.operands[0] in tainted:
-                    out = True
-                elif isinstance(op, scf.ForOp):
+                spec = OPS.get(op.name)
+                if isinstance(op, scf.ForOp):
                     # init -> iter_arg -> result flow (and yield -> iter_arg).
                     yields = op.yield_op.operands if op.body.operations else []
                     for i, res in enumerate(op.results):
@@ -373,7 +359,6 @@ class _PlanBuilder:
                             if src_tainted and v not in tainted:
                                 tainted.add(v)
                                 changed = True
-                    continue
                 elif isinstance(op, scf.IfOp):
                     for block in (op.then_block, op.else_block):
                         if block is None or not block.operations:
@@ -384,8 +369,8 @@ class _PlanBuilder:
                                 if v in tainted and res not in tainted:
                                     tainted.add(res)
                                     changed = True
-                    continue
-                if out:
+                elif spec is not None and (spec.taint == "always" or (
+                        spec.taint == "operand" and op.operands[0] in tainted)):
                     for res in op.results:
                         if res not in tainted:
                             tainted.add(res)
@@ -405,9 +390,8 @@ class _PlanBuilder:
                        if isinstance(op, tawa.WarpGroupOp)]
 
         if not warp_groups:
-            self.steps = []
-            self.ops_emitted = 0
-            self.replica_slots = []
+            self.role = "consumer"
+            self._bound = {}
             self.emit_block(func.body)
             steps = self._finalize(self.steps)
             self.plan.regions.append(
@@ -416,8 +400,6 @@ class _PlanBuilder:
 
         self.plan.warp_specialized = True
         # CTA-common prologue: everything outside the warp-group regions.
-        self.steps = []
-        self.ops_emitted = 0
         for op in func.body.operations:
             if isinstance(op, tawa.WarpGroupOp) or op.name == "func.return":
                 continue
@@ -442,10 +424,12 @@ class _PlanBuilder:
         self.plan.total_replicas = sum(max(1, wg.replicas) for wg in warp_groups)
         for wg in warp_groups:
             replicas = max(1, wg.replicas)
+            self.role = wg.role
             self.work_fraction = 1.0 / replicas
             self.steps = []
             self.ops_emitted = 0
             self.replica_slots = []
+            self._bound = {}
             self.emit_block(wg.body)
             steps = self._finalize(self.steps)
             region = RegionPlan(wg.role, wg.partition, replicas, steps,
@@ -454,24 +438,31 @@ class _PlanBuilder:
                 self.observer = True
                 self.steps = []
                 self.ops_emitted = 0
+                self._bound = {}
                 self.emit_block(wg.body)
                 region.observer_steps = self._finalize(self.steps)
                 self.observer = False
             self.plan.regions.append(region)
         self.work_fraction = 1.0
 
-    #: Ops through which replicas could diverge or publish data other agents
-    #: (or the launch result) depend on; their presence disables the observer
-    #: variant for a region (all replicas then do the full functional work,
-    #: exactly like the interpreter).
-    _OBSERVER_UNSAFE = frozenset([
-        "tawa.put", "gpu.smem_write", "gpu.warp_group_id", "gpu.cp_async",
-        "gpu.tma_async_load", "gpu.alloc_smem", "gpu.mbarrier_alloc",
-        "tawa.create_aref",
-    ])
+    @staticmethod
+    def _observer_safe(wg: tawa.WarpGroupOp) -> bool:
+        """Whether replicas of ``wg`` can run the observer variant.
 
-    def _observer_safe(self, wg: tawa.WarpGroupOp) -> bool:
-        return all(op.name not in self._OBSERVER_UNSAFE for op in wg.walk())
+        Not when an op through which replicas could diverge or publish data
+        (the table's ``observer_unsafe``) appears, and not when a scalar is
+        computed from tensor data (a scalar ``tt.reduce``): the scalar must
+        stay real, but the observer has no tensor data to compute it from.
+        All replicas then do the full functional work, like the interpreter.
+        """
+        for op in wg.walk():
+            spec = OPS.get(op.name)
+            if spec is not None and spec.observer_unsafe:
+                return False
+            if (op.results and any(isinstance(v.type, TensorType) for v in op.operands)
+                    and not any(isinstance(r.type, TensorType) for r in op.results)):
+                return False
+        return True
 
     # -- block / op emission ---------------------------------------------------
 
@@ -483,17 +474,73 @@ class _PlanBuilder:
         # Region-scoped budget: bounds total emission even when constant-trip
         # loops nest (each level multiplies the op count).
         self.ops_emitted += 1
-        emitter = _EMITTERS.get(op.name)
-        if emitter is None:
-            if isinstance(op, arith.BinaryOp):
-                emitter = _emit_binary
-            elif isinstance(op, arith.UnaryOp):
-                emitter = _emit_unary
-            elif isinstance(op, (arith.CmpIOp, arith.CmpFOp)):
-                emitter = _emit_cmp
+        spec = OPS.get(op.name)
+        if spec is not None:
+            self.emit_table_op(op, spec)
+        elif op.name == "scf.for":
+            _emit_scf_for(self, op)
+        elif op.name == "scf.if":
+            _emit_scf_if(self, op)
+        elif op.name == "tawa.warp_group":
+            # Only reached when a warp_group region is executed inline.
+            self.emit_block(op.body)
+        elif op.name not in ("func.return", "scf.yield"):
+            raise PlanError(f"no plan emitter for op {op.name!r}")
+
+    def emit_table_op(self, op: Operation, spec: OpDef) -> None:
+        """Bind one table entry to slots and emit its steps."""
+        if spec.cta is not None:
+            kind = spec.cta(op)
+            if kind == "replica":
+                self.replica_slots.append(self.new_slot(op.result))
             else:
-                raise PlanError(f"no plan emitter for op {op.name!r}")
-        emitter(self, op)
+                self.cta_input(kind, op.result)
+            return
+        srcs = [self.slot(v) for v in op.operands]
+        if spec.run is not None:
+            rds = tuple(self.new_slot(r) for r in op.results)
+            make = _binder(len(srcs), True, bool(rds), True)
+            self.emit_gen(make(spec.run(op, self), rds, *srcs))
+            return
+        rd = self.new_slot(op.results[0]) if op.results else None
+        bound = self._bound.get(op)
+        if bound is None:
+            effects = spec.effects(op, self) if spec.effects is not None else ()
+            value = (RUN if not spec.data or (self.functional and not self.observer)
+                     else stand_in(spec, op, self.real(op)))
+            payload = fast = None
+            if value is RUN and spec.payload is not None:
+                payload = spec.payload(op, self)
+                if spec.fast is not None and isinstance(op.results[0].type, ScalarType):
+                    fast = spec.fast(op)
+            bound = self._bound[op] = (effects, value, payload, fast)
+        effects, value, payload, fast = bound
+        # Plan-time constant folding: evaluated once into the template.
+        fold = not effects and spec.fold and all(map(self.const.get, srcs))
+        fn = None
+        if fast is not None:
+            fn = _fast_step(fast[0], fast[1], payload, rd, *srcs)
+        elif payload is not None:
+            if fold:
+                value = payload(*[self.plan.template[s] for s in srcs])
+            else:
+                fn = _binder(len(srcs), spec.ctx, rd is not None, False)(payload, rd, *srcs)
+        elif value is not RUN and rd is not None and not fold:
+            fn = _constant_step(rd, value)
+        if fold:
+            if fn is not None:
+                fn(self.plan.template, None)
+            else:
+                self.plan.template[rd] = value
+            self.const[rd] = True
+        elif effects:
+            coalescible = spec.coalesce == "always" or (
+                spec.coalesce == "untainted" and not self.op_reads_tainted(op))
+            for effect in effects[:-1]:
+                self.emit_effect(effect, None, coalescible)
+            self.emit_effect(effects[-1], fn, coalescible)
+        elif fn is not None:
+            self.emit_pure(fn, movable=not spec.pinned)
 
     # -- finalization: batch pure runs and coalesce local delay chains --------
 
@@ -556,247 +603,10 @@ class _PlanBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Emitters.  Each mirrors the corresponding interpreter handler exactly;
-# consult repro.gpusim.interpreter for the reference semantics.
+# Structured control flow: the only per-op emitters the builder keeps.
 # ---------------------------------------------------------------------------
 
-_EMITTERS: dict[str, Callable[[_PlanBuilder, Operation], None]] = {}
 
-
-def _emitter(name: str):
-    def register(fn):
-        _EMITTERS[name] = fn
-        return fn
-    return register
-
-
-@_emitter("func.return")
-@_emitter("scf.yield")
-def _emit_nothing(b: _PlanBuilder, op: Operation) -> None:
-    return
-
-
-@_emitter("arith.constant")
-def _emit_constant(b: _PlanBuilder, op: arith.ConstantOp) -> None:
-    b.const_slot(op.result, op.value)
-
-
-#: Python-operator fast paths for scalar arithmetic.  Guarded at runtime on
-#: ``type(x) is int`` / ``is float`` so the result is *provably* the same
-#: value the NumPy impl + _to_python_scalar coercion would produce; anything
-#: else (np scalars, SymbolicTile, div-by-zero) falls through to the exact
-#: interpreter arithmetic.
-_INT_SCALAR_FAST = {
-    "arith.addi": operator.add, "arith.subi": operator.sub,
-    "arith.muli": operator.mul, "arith.divsi": operator.floordiv,
-    "arith.remsi": operator.mod, "arith.minsi": min, "arith.maxsi": max,
-    "arith.andi": operator.and_, "arith.ori": operator.or_,
-    "arith.xori": operator.xor,
-}
-_FLOAT_SCALAR_FAST = {
-    "arith.addf": operator.add, "arith.subf": operator.sub,
-    "arith.mulf": operator.mul, "arith.divf": operator.truediv,
-}
-
-
-def _emit_binary(b: _PlanBuilder, op: arith.BinaryOp) -> None:
-    ls, rs = b.slot(op.lhs), b.slot(op.rhs)
-    rd = b.new_slot(op.result)
-    impl = op.py_impl
-    elements = b.tensor_elements(op)
-    rty = op.result.type
-    scalar = isinstance(rty, ScalarType)
-    functional = b.tensor_real
-
-    if elements and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    elif scalar and (op.name in _INT_SCALAR_FAST or op.name in _FLOAT_SCALAR_FAST):
-        is_int = op.name in _INT_SCALAR_FAST
-        fast = _INT_SCALAR_FAST[op.name] if is_int else _FLOAT_SCALAR_FAST[op.name]
-
-        def fn(regs, ctx, _ls=ls, _rs=rs, _rd=rd, _impl=impl, _ty=rty,
-               _fast=fast, _t=int if is_int else float):
-            lhs = regs[_ls]
-            rhs = regs[_rs]
-            if type(lhs) is _t and type(rhs) is _t:
-                try:
-                    regs[_rd] = _fast(lhs, rhs)
-                    return
-                except ZeroDivisionError:
-                    pass
-            result = _impl(_as_array(lhs), _as_array(rhs))
-            if not isinstance(result, SymbolicTile):
-                result = _to_python_scalar(result, _ty)
-            regs[_rd] = result
-    else:
-        def fn(regs, ctx, _ls=ls, _rs=rs, _rd=rd, _impl=impl, _scalar=scalar,
-               _ty=rty):
-            result = _impl(_as_array(regs[_ls]), _as_array(regs[_rs]))
-            if _scalar and not isinstance(result, SymbolicTile):
-                result = _to_python_scalar(result, _ty)
-            regs[_rd] = result
-
-    if elements:
-        transcendental = op.name in ("arith.divf", "arith.powf")
-        cycles = b.cuda_cost(elements, transcendental)
-        b.emit_effect(b.delay(cycles), fn, coalescible=not b.op_reads_tainted(op))
-    else:
-        if b.is_const(ls) and b.is_const(rs):
-            fn(b.plan.template, None)
-            b.const[rd] = True
-        else:
-            b.emit_pure(op, fn)
-
-
-def _emit_unary(b: _PlanBuilder, op: arith.UnaryOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    impl = op.py_impl
-    elements = b.tensor_elements(op)
-    rty = op.result.type
-    functional = b.tensor_real
-
-    if elements and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    else:
-        def fn(regs, ctx, _src=src, _rd=rd, _impl=impl):
-            regs[_rd] = _impl(_as_array(regs[_src]))
-
-    if elements:
-        b.emit_effect(b.delay(b.cuda_cost(elements, transcendental=True)), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        if b.is_const(src):
-            fn(b.plan.template, None)
-            b.const[rd] = True
-        else:
-            b.emit_pure(op, fn)
-
-
-_CMP_SCALAR_FAST = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le, "sgt": operator.gt,
-    "sge": operator.ge, "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
-
-
-def _emit_cmp(b: _PlanBuilder, op: arith.CmpIOp) -> None:
-    ls, rs = b.slot(op.operands[0]), b.slot(op.operands[1])
-    rd = b.new_slot(op.result)
-    impl = op.py_impl
-    elements = b.tensor_elements(op)
-    rty = op.result.type
-    scalar = isinstance(rty, ScalarType)
-    functional = b.tensor_real
-
-    if elements and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    elif scalar:
-        def fn(regs, ctx, _ls=ls, _rs=rs, _rd=rd, _impl=impl,
-               _fast=_CMP_SCALAR_FAST[op.predicate]):
-            lhs = regs[_ls]
-            rhs = regs[_rs]
-            tl = type(lhs)
-            tr = type(rhs)
-            if (tl is int or tl is float) and (tr is int or tr is float):
-                regs[_rd] = _fast(lhs, rhs)
-                return
-            result = _impl(_as_array(lhs), _as_array(rhs))
-            if not isinstance(result, SymbolicTile):
-                result = bool(result)
-            regs[_rd] = result
-    else:
-        def fn(regs, ctx, _ls=ls, _rs=rs, _rd=rd, _impl=impl, _scalar=scalar):
-            result = _impl(_as_array(regs[_ls]), _as_array(regs[_rs]))
-            if _scalar and not isinstance(result, SymbolicTile):
-                result = bool(result)
-            regs[_rd] = result
-
-    if elements:
-        b.emit_effect(b.delay(b.cuda_cost(elements)), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        if b.is_const(ls) and b.is_const(rs):
-            fn(b.plan.template, None)
-            b.const[rd] = True
-        else:
-            b.emit_pure(op, fn)
-
-
-@_emitter("arith.select")
-def _emit_select(b: _PlanBuilder, op: arith.SelectOp) -> None:
-    cs, xs, ys = (b.slot(v) for v in op.operands)
-    rd = b.new_slot(op.result)
-    elements = b.tensor_elements(op)
-    rty = op.result.type
-    functional = b.tensor_real
-
-    if elements and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    else:
-        def fn(regs, ctx, _cs=cs, _xs=xs, _ys=ys, _rd=rd):
-            regs[_rd] = np.where(_as_array(regs[_cs]), _as_array(regs[_xs]),
-                                 _as_array(regs[_ys]))
-
-    if elements:
-        b.emit_effect(b.delay(b.cuda_cost(elements)), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("arith.cast")
-def _emit_cast(b: _PlanBuilder, op: arith.CastOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    elements = b.tensor_elements(op)
-    functional = b.tensor_real
-
-    if isinstance(ty, TensorType):
-        if functional:
-            dtype = ty.element_type.numpy_dtype
-
-            def fn(regs, ctx, _src=src, _rd=rd, _dtype=dtype):
-                regs[_rd] = np.asarray(_as_array(regs[_src]), dtype=_dtype)
-        else:
-            symb = SymbolicTile(tuple(ty.shape), ty.element_type)
-
-            def fn(regs, ctx, _rd=rd, _symb=symb):
-                regs[_rd] = _symb
-    else:
-        scalar_ty = ty if isinstance(ty, ScalarType) else None
-
-        def fn(regs, ctx, _src=src, _rd=rd, _ty=scalar_ty):
-            value = _as_array(regs[_src])
-            if _ty is not None:
-                value = _to_python_scalar(value, _ty)
-            regs[_rd] = value
-
-    if elements:
-        b.emit_effect(b.delay(b.cuda_cost(elements)), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        b.emit_pure(op, fn, foldable=True)
-
-
-# -- structured control flow -------------------------------------------------
-
-
-@_emitter("scf.for")
 def _emit_scf_for(b: _PlanBuilder, op: scf.ForOp) -> None:
     lb_s, ub_s, st_s = (b.slot(v) for v in (op.lower_bound, op.upper_bound, op.step))
     init_slots = [b.slot(v) for v in op.init_args]
@@ -881,7 +691,6 @@ def _unroll_for(b: _PlanBuilder, op: scf.ForOp, lb: int, ub: int, step: int,
         b.alias(res, slot)
 
 
-@_emitter("scf.if")
 def _emit_scf_if(b: _PlanBuilder, op: scf.IfOp) -> None:
     cond_s = b.slot(op.condition)
 
@@ -942,7 +751,7 @@ def _emit_scf_if(b: _PlanBuilder, op: scf.IfOp) -> None:
                 for dst, src in zip(_results, yields):
                     regs[dst] = regs[src]
 
-        b.emit_pure(op, if_fn)
+        b.emit_pure(if_fn)
         return
 
     def if_gen(regs, ctx, _cond=cond_s, _then=then_steps, _ty=then_yields,
@@ -961,709 +770,6 @@ def _emit_scf_if(b: _PlanBuilder, op: scf.IfOp) -> None:
                 regs[dst] = regs[src]
 
     b.emit_gen(if_gen)
-
-
-@_emitter("tawa.warp_group")
-def _emit_warp_group_inline(b: _PlanBuilder, op: tawa.WarpGroupOp) -> None:
-    # Only reached when a warp_group region is executed inline.
-    b.emit_block(op.body)
-
-
-# -- tt dialect ---------------------------------------------------------------
-
-
-@_emitter("tt.get_program_id")
-def _emit_program_id(b: _PlanBuilder, op: tt.GetProgramIdOp) -> None:
-    b.cta_input(f"pid{op.axis}", op.result)
-
-
-@_emitter("tt.get_num_programs")
-def _emit_num_programs(b: _PlanBuilder, op: tt.GetNumProgramsOp) -> None:
-    b.cta_input(f"nprog{op.axis}", op.result)
-
-
-@_emitter("gpu.cta_id")
-def _emit_cta_id(b: _PlanBuilder, op: Operation) -> None:
-    b.cta_input("cta_id", op.result)
-
-
-@_emitter("gpu.num_ctas")
-def _emit_num_ctas(b: _PlanBuilder, op: Operation) -> None:
-    b.cta_input("num_ctas", op.result)
-
-
-@_emitter("gpu.num_tiles")
-def _emit_num_tiles(b: _PlanBuilder, op: Operation) -> None:
-    b.cta_input("num_tiles", op.result)
-
-
-@_emitter("gpu.warp_group_id")
-def _emit_warp_group_id(b: _PlanBuilder, op: Operation) -> None:
-    slot = b.new_slot(op.result)
-    b.replica_slots.append(slot)
-
-
-def _tensor_or_symbolic(b: _PlanBuilder, rty, compute):
-    """Plan-time analogue of _WarpGroupExec._tensor_result for foldable ops."""
-    if not isinstance(rty, TensorType):
-        return compute()
-    if b.tensor_real:
-        return compute()
-    return SymbolicTile(tuple(rty.shape), rty.element_type)
-
-
-@_emitter("tt.make_range")
-def _emit_make_range(b: _PlanBuilder, op: tt.MakeRangeOp) -> None:
-    value = _tensor_or_symbolic(
-        b, op.result.type,
-        lambda: np.arange(op.start, op.end, dtype=np.int64))
-    b.const_slot(op.result, value)
-
-
-@_emitter("tt.full")
-def _emit_full(b: _PlanBuilder, op: tt.FullOp) -> None:
-    ty = op.result.type
-    value = _tensor_or_symbolic(
-        b, ty, lambda: np.full(ty.shape, op.value, dtype=ty.element_type.numpy_dtype))
-    b.const_slot(op.result, value)
-
-
-@_emitter("tt.splat")
-def _emit_splat(b: _PlanBuilder, op: tt.SplatOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    functional = b.tensor_real
-    shape = tuple(ty.shape)
-    dtype = ty.element_type.numpy_dtype
-    symb = SymbolicTile(shape, ty.element_type)
-
-    def fn(regs, ctx, _src=src, _rd=rd, _shape=shape, _dtype=dtype,
-           _symb=symb, _functional=functional):
-        scalar = regs[_src]
-        if isinstance(scalar, Pointer):
-            regs[_rd] = scalar
-        elif _functional:
-            regs[_rd] = np.full(_shape, scalar, dtype=_dtype)
-        else:
-            regs[_rd] = _symb
-
-    b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.expand_dims")
-def _emit_expand_dims(b: _PlanBuilder, op: tt.ExpandDimsOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    axis = op.axis
-    ty = op.result.type
-    functional = b.tensor_real
-    symb = SymbolicTile(tuple(ty.shape), ty.element_type)
-
-    def fn(regs, ctx, _src=src, _rd=rd, _axis=axis, _symb=symb,
-           _functional=functional):
-        operand = regs[_src]
-        if isinstance(operand, Pointer):
-            offs = operand.offsets
-            if _functional and isinstance(offs, np.ndarray):
-                operand = Pointer(operand.buffer, np.expand_dims(offs, _axis))
-            regs[_rd] = operand
-        elif _functional:
-            regs[_rd] = np.expand_dims(_as_array(operand), _axis)
-        else:
-            regs[_rd] = _symb
-
-    b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.broadcast")
-def _emit_broadcast(b: _PlanBuilder, op: tt.BroadcastOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    shape = tuple(ty.shape)
-    functional = b.tensor_real
-    symb = SymbolicTile(shape, ty.element_type)
-
-    def fn(regs, ctx, _src=src, _rd=rd, _shape=shape, _symb=symb,
-           _functional=functional):
-        if _functional:
-            regs[_rd] = np.broadcast_to(_as_array(regs[_src]), _shape).copy()
-        else:
-            regs[_rd] = _symb
-
-    b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.trans")
-def _emit_trans(b: _PlanBuilder, op: tt.TransOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    functional = b.tensor_real
-    symb = SymbolicTile(tuple(ty.shape), ty.element_type)
-
-    def fn(regs, ctx, _src=src, _rd=rd, _symb=symb, _functional=functional):
-        operand = regs[_src]
-        if isinstance(operand, SmemTileView):
-            regs[_rd] = _TransposedView(operand)
-        elif _functional:
-            regs[_rd] = np.transpose(_as_array(operand))
-        else:
-            regs[_rd] = _symb
-
-    b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.reshape")
-def _emit_reshape(b: _PlanBuilder, op: tt.ReshapeOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    shape = tuple(ty.shape)
-    functional = b.tensor_real
-    symb = SymbolicTile(shape, ty.element_type)
-
-    def fn(regs, ctx, _src=src, _rd=rd, _shape=shape, _symb=symb,
-           _functional=functional):
-        if _functional:
-            regs[_rd] = np.reshape(_as_array(regs[_src]), _shape)
-        else:
-            regs[_rd] = _symb
-
-    b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.where")
-def _emit_where(b: _PlanBuilder, op: tt.WhereOp) -> None:
-    cs, xs, ys = (b.slot(v) for v in op.operands)
-    rd = b.new_slot(op.result)
-    elements = b.tensor_elements(op)
-    rty = op.result.type
-    functional = b.tensor_real
-
-    if elements and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    else:
-        def fn(regs, ctx, _cs=cs, _xs=xs, _ys=ys, _rd=rd):
-            regs[_rd] = np.where(_as_array(regs[_cs]), _as_array(regs[_xs]),
-                                 _as_array(regs[_ys]))
-
-    if elements:
-        b.emit_effect(b.delay(b.cuda_cost(elements)), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        b.emit_pure(op, fn, foldable=True)
-
-
-@_emitter("tt.reduce")
-def _emit_reduce(b: _PlanBuilder, op: tt.ReduceOp) -> None:
-    src = b.slot(op.operands[0])
-    rd = b.new_slot(op.results[0])
-    src_ty = op.operands[0].type
-    src_elems = src_ty.num_elements if isinstance(src_ty, TensorType) else 0
-    impl = {"max": np.max, "min": np.min, "sum": np.sum}[op.kind]
-    axis = op.axis
-    rty = op.results[0].type
-    functional = b.tensor_real
-
-    if isinstance(rty, TensorType) and not functional:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    elif not isinstance(rty, TensorType) and not functional:
-        def fn(regs, ctx, _rd=rd):
-            regs[_rd] = 0.0
-    else:
-        def fn(regs, ctx, _src=src, _rd=rd, _impl=impl, _axis=axis):
-            regs[_rd] = _impl(_as_array(regs[_src]), axis=_axis)
-
-    if src_elems:
-        b.emit_effect(b.delay(b.cuda_cost(src_elems) * 2.0), fn,
-                      coalescible=not b.op_reads_tainted(op))
-    else:
-        b.emit_pure(op, fn)
-
-
-@_emitter("tt.addptr")
-def _emit_addptr(b: _PlanBuilder, op: tt.AddPtrOp) -> None:
-    ps, os_ = b.slot(op.operands[0]), b.slot(op.operands[1])
-    rd = b.new_slot(op.result)
-    rty = op.result.type
-    shape = tuple(rty.shape) if isinstance(rty, TensorType) else ()
-    # Scalar pointer arithmetic stays real in the observer variant so that
-    # scalar loads through the resulting pointer read the right element.
-    functional = b.functional if not shape else b.tensor_real
-
-    def fn(regs, ctx, _ps=ps, _os=os_, _rd=rd, _shape=shape,
-           _functional=functional):
-        ptr = regs[_ps]
-        offset = _as_array(regs[_os])
-        if not isinstance(ptr, Pointer):
-            raise InterpreterError(f"tt.addptr on non-pointer runtime value {ptr!r}")
-        if _functional and not isinstance(offset, SymbolicTile):
-            regs[_rd] = ptr.offset_by(
-                np.asarray(offset, dtype=np.int64)
-                if not np.isscalar(offset) else int(offset))
-        else:
-            regs[_rd] = Pointer(ptr.buffer, SymbolicTile(_shape, ptr.element_type))
-
-    b.emit_pure(op, fn)
-
-
-@_emitter("tt.load")
-def _emit_load(b: _PlanBuilder, op: tt.LoadOp) -> None:
-    ps = b.slot(op.ptr)
-    ms = b.slot(op.mask) if op.mask is not None else None
-    rd = b.new_slot(op.result)
-    elements = b.tensor_elements(op) or 1
-    cycles = (b.config.global_load_latency_cycles * b.work_fraction
-              + b.cuda_cost(elements))
-    rty = op.result.type
-    # Scalar loads stay real in the observer variant: control flow (loop
-    # bounds, predicates) may depend on them and must match replica 0.
-    functional = (b.functional if not isinstance(rty, TensorType)
-                  else b.tensor_real)
-
-    if not functional:
-        value = (SymbolicTile(tuple(rty.shape), rty.element_type)
-                 if isinstance(rty, TensorType) else 0)
-
-        def fn(regs, ctx, _rd=rd, _value=value):
-            regs[_rd] = _value
-    else:
-        scalar_ty = None if isinstance(rty, TensorType) else rty
-
-        def fn(regs, ctx, _ps=ps, _ms=ms, _rd=rd, _ty=scalar_ty):
-            ptr = regs[_ps]
-            mask = regs[_ms] if _ms is not None else None
-            offsets = ptr.offsets if isinstance(ptr, Pointer) else 0
-            gathered = ptr.buffer.gather(np.asarray(offsets), mask)
-            if _ty is not None:
-                regs[_rd] = _to_python_scalar(gathered.reshape(()), _ty)
-            else:
-                regs[_rd] = gathered
-
-    b.emit_effect(b.delay(cycles), fn)
-
-
-@_emitter("tt.store")
-def _emit_store(b: _PlanBuilder, op: tt.StoreOp) -> None:
-    ps, vs = b.slot(op.ptr), b.slot(op.value)
-    ms = b.slot(op.mask) if op.mask is not None else None
-    elements = (op.value.type.num_elements
-                if isinstance(op.value.type, TensorType) else 1)
-    cycles = (elements / b.config.global_store_elements_per_cycle
-              * b.work_fraction)
-    functional = b.tensor_real
-
-    if not functional:
-        fn = None
-    else:
-        def fn(regs, ctx, _ps=ps, _vs=vs, _ms=ms):
-            ptr = regs[_ps]
-            value = _as_array(regs[_vs])
-            if not isinstance(ptr, Pointer):
-                return
-            if isinstance(ptr.offsets, SymbolicTile) or isinstance(value, SymbolicTile):
-                return
-            mask = regs[_ms] if _ms is not None else None
-            ptr.buffer.scatter(np.asarray(ptr.offsets), value, mask)
-
-    b.emit_effect(b.delay(cycles), fn)
-
-
-@_emitter("tt.tma_load")
-def _emit_tma_load_sync(b: _PlanBuilder, op: tt.TmaLoadOp) -> None:
-    ds = b.slot(op.desc)
-    coord_slots = tuple(b.slot(c) for c in op.coords)
-    rd = b.new_slot(op.result)
-    tile_shape = op.tile_shape
-    rty = op.result.type
-    functional = b.tensor_real
-    issue = b.delay(b.config.tma_issue_cycles)
-    latency = b.config.tma_latency_cycles
-    config = b.config
-    symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-    def gen(regs, ctx, _ds=ds, _coords=coord_slots, _rd=rd, _shape=tile_shape,
-            _issue=issue, _latency=latency, _config=config,
-            _functional=functional, _symb=symb):
-        desc = regs[_ds]
-        coords = [int(regs[c]) for c in _coords]
-        num_bytes = desc.tile_bytes(_shape)
-        yield _issue
-        yield Delay(_latency + _config.tma_cycles(num_bytes))
-        if _functional:
-            regs[_rd] = desc.buffer.read_tile(coords, _shape)
-        else:
-            regs[_rd] = _symb
-
-    b.emit_gen(gen)
-
-
-@_emitter("tt.tma_store")
-def _emit_tma_store(b: _PlanBuilder, op: tt.TmaStoreOp) -> None:
-    ds = b.slot(op.desc)
-    coord_slots = tuple(b.slot(c) for c in op.coords)
-    vs = b.slot(op.value)
-    elements = (op.value.type.num_elements
-                if isinstance(op.value.type, TensorType) else 1)
-    cycles = (elements / b.config.global_store_elements_per_cycle
-              * b.work_fraction)
-    functional = b.tensor_real
-
-    if not functional:
-        fn = None
-    else:
-        def fn(regs, ctx, _ds=ds, _coords=coord_slots, _vs=vs):
-            value = _as_array(regs[_vs])
-            if not isinstance(value, SymbolicTile):
-                desc = regs[_ds]
-                coords = [int(regs[c]) for c in _coords]
-                desc.buffer.write_tile(coords, np.asarray(value))
-
-    b.emit_effect(b.delay(cycles), fn)
-
-
-@_emitter("tt.dot")
-def _emit_dot_sync(b: _PlanBuilder, op: tt.DotOp) -> None:
-    a_s, b_s = b.slot(op.a), b.slot(op.b)
-    acc_s = b.slot(op.acc) if op.acc is not None else None
-    rd = b.new_slot(op.result)
-    ty = op.result.type
-    dtype_bits = op.a.type.element_type.bitwidth
-    issue = b.delay(b.config.wgmma_issue_cycles)
-    wg_issue = WgmmaIssue(op.flops * b.work_fraction, dtype_bits, ty.shape[1],
-                          chain=op)
-    wait = None if op.get_attr("tawa.async", False) else WgmmaWait(0)
-    functional = b.tensor_real
-    symb = SymbolicTile(tuple(ty.shape), ty.element_type)
-
-    b.emit_effect(issue, None)
-    if functional:
-        def fn(regs, ctx, _a=a_s, _b=b_s, _acc=acc_s, _rd=rd):
-            a = _as_array(regs[_a])
-            bb = _as_array(regs[_b])
-            acc = _as_array(regs[_acc]) if _acc is not None else None
-            regs[_rd] = _matmul(a, bb, acc)
-    else:
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    if wait is None:
-        b.emit_effect(wg_issue, fn)
-    else:
-        b.emit_effect(wg_issue, None)
-        b.emit_effect(wait, fn)
-
-
-# -- tawa dialect -------------------------------------------------------------
-
-
-@_emitter("tawa.create_aref")
-def _emit_create_aref(b: _PlanBuilder, op: tawa.CreateArefOp) -> None:
-    rd = b.new_slot(op.result)
-    depth = op.depth
-    name = op.get_attr("aref_name", f"aref{op.results[0].id}")
-
-    def fn(regs, ctx, _rd=rd, _depth=depth, _name=name):
-        regs[_rd] = ArefRuntime.create(_depth, _name)
-
-    b.emit_pure(op, fn)
-
-
-@_emitter("tawa.aref_slot")
-def _emit_aref_slot(b: _PlanBuilder, op: tawa.ArefSlotOp) -> None:
-    rs, is_ = b.slot(op.aref), b.slot(op.index)
-    rd = b.new_slot(op.result)
-
-    def fn(regs, ctx, _rs=rs, _is=is_, _rd=rd):
-        regs[_rd] = regs[_rs].slot(int(regs[_is]))
-
-    b.emit_pure(op, fn)
-
-
-@_emitter("tawa.put")
-def _emit_put(b: _PlanBuilder, op: tawa.PutOp) -> None:
-    ss = b.slot(op.slot)
-    value_slots = tuple(b.slot(v) for v in op.values)
-    delay = b.delay(b.config.aref_op_cycles)
-
-    def gen(regs, ctx, _ss=ss, _vals=value_slots, _delay=delay):
-        slot = regs[_ss]
-        yield _delay
-        yield ArefPut(slot)
-        slot.do_put(tuple(regs[s] for s in _vals))
-        ctx.engine.notify_aref(slot)
-
-    b.emit_gen(gen)
-
-
-@_emitter("tawa.get")
-def _emit_get(b: _PlanBuilder, op: tawa.GetOp) -> None:
-    ss = b.slot(op.slot)
-    result_slots = tuple(b.new_slot(r) for r in op.results)
-    delay = b.delay(b.config.aref_op_cycles)
-
-    def gen(regs, ctx, _ss=ss, _results=result_slots, _delay=delay):
-        slot = regs[_ss]
-        yield _delay
-        yield ArefGet(slot)
-        payload = slot.do_get()
-        for dst, value in zip(_results, payload):
-            regs[dst] = value
-        ctx.engine.notify_aref(slot)
-
-    b.emit_gen(gen)
-
-
-@_emitter("tawa.consumed")
-def _emit_consumed(b: _PlanBuilder, op: tawa.ConsumedOp) -> None:
-    ss = b.slot(op.slot)
-
-    def fn(regs, ctx, _ss=ss):
-        slot = regs[_ss]
-        slot.do_consumed()
-        ctx.engine.notify_aref(slot)
-
-    b.emit_effect(b.delay(b.config.aref_op_cycles), fn)
-
-
-# -- gpu dialect --------------------------------------------------------------
-
-
-@_emitter("gpu.alloc_smem")
-def _emit_alloc_smem(b: _PlanBuilder, op: gpu.AllocSmemOp) -> None:
-    rd = b.new_slot(op.result)
-    ty = op.buffer_type
-    shape = tuple(ty.shape)
-    elem = ty.element_type
-    num_bytes = ty.num_bytes
-    name = op.get_attr("buf_name", f"smem{op.result.id}")
-    functional = b.functional
-
-    def fn(regs, ctx, _rd=rd, _shape=shape, _elem=elem, _name=name,
-           _bytes=num_bytes, _functional=functional):
-        regs[_rd] = SmemTile(_shape, _elem, _functional, name=_name)
-        ctx.smem_bytes += _bytes
-
-    b.emit_pure(op, fn, movable=False)
-
-
-@_emitter("gpu.smem_slice")
-def _emit_smem_slice(b: _PlanBuilder, op: gpu.SmemSliceOp) -> None:
-    bs, is_ = b.slot(op.buffer), b.slot(op.index)
-    rd = b.new_slot(op.result)
-
-    def fn(regs, ctx, _bs=bs, _is=is_, _rd=rd):
-        regs[_rd] = regs[_bs].slice(int(regs[_is]))
-
-    b.emit_pure(op, fn)
-
-
-@_emitter("gpu.mbarrier_alloc")
-def _emit_mbarrier_alloc(b: _PlanBuilder, op: gpu.MBarrierAllocOp) -> None:
-    rd = b.new_slot(op.results[0])
-    arrive_count = op.arrive_count
-    count = op.count
-    name = op.get_attr("barrier_name", f"mbar{op.results[0].id}")
-
-    def fn(regs, ctx, _rd=rd, _ac=arrive_count, _n=count, _name=name):
-        regs[_rd] = [MBarrier(_ac, f"{_name}[{i}]") for i in range(_n)]
-
-    b.emit_pure(op, fn, movable=False)
-
-
-@_emitter("gpu.mbarrier_arrive")
-def _emit_mbarrier_arrive(b: _PlanBuilder, op: gpu.MBarrierArriveOp) -> None:
-    ms, is_ = b.slot(op.mbarrier), b.slot(op.index)
-
-    def fn(regs, ctx, _ms=ms, _is=is_):
-        barriers = regs[_ms]
-        bar = barriers[int(regs[_is]) % len(barriers)]
-        if bar.arrive():
-            ctx.engine.notify_barrier(bar)
-
-    b.emit_effect(b.delay(b.config.mbarrier_op_cycles), fn)
-
-
-@_emitter("gpu.mbarrier_expect_tx")
-def _emit_mbarrier_expect_tx(b: _PlanBuilder, op: gpu.MBarrierExpectTxOp) -> None:
-    ms, is_ = b.slot(op.mbarrier), b.slot(op.index)
-    num_bytes = op.bytes
-
-    def fn(regs, ctx, _ms=ms, _is=is_, _bytes=num_bytes):
-        barriers = regs[_ms]
-        bar = barriers[int(regs[_is]) % len(barriers)]
-        if bar.expect_tx(_bytes):
-            ctx.engine.notify_barrier(bar)
-
-    b.emit_effect(b.delay(b.config.mbarrier_op_cycles), fn)
-
-
-@_emitter("gpu.mbarrier_wait")
-def _emit_mbarrier_wait(b: _PlanBuilder, op: gpu.MBarrierWaitOp) -> None:
-    ms, is_, gs = (b.slot(v) for v in (op.mbarrier, op.index, op.generation))
-    delay = b.delay(b.config.mbarrier_op_cycles)
-
-    def gen(regs, ctx, _ms=ms, _is=is_, _gs=gs, _delay=delay):
-        barriers = regs[_ms]
-        bar = barriers[int(regs[_is]) % len(barriers)]
-        generation = int(regs[_gs])
-        yield _delay
-        yield WaitBarrier(bar, generation)
-
-    b.emit_gen(gen)
-
-
-@_emitter("gpu.tma_async_load")
-def _emit_tma_async_load(b: _PlanBuilder, op: gpu.TmaAsyncLoadOp) -> None:
-    ds = b.slot(op.desc)
-    coord_slots = tuple(b.slot(c) for c in op.coords)
-    ss, ms, is_ = (b.slot(v) for v in (op.smem, op.mbarrier, op.mbarrier_index))
-    num_bytes = op.bytes
-    issue = b.delay(b.config.tma_issue_cycles)
-    functional = b.tensor_real
-
-    def gen(regs, ctx, _ds=ds, _coords=coord_slots, _ss=ss, _ms=ms, _is=is_,
-            _bytes=num_bytes, _issue=issue, _functional=functional):
-        view = regs[_ss]
-        barriers = regs[_ms]
-        bar = barriers[int(regs[_is]) % len(barriers)]
-        on_complete = None
-        if _functional:
-            desc = regs[_ds]
-            coords = [int(regs[c]) for c in _coords]
-            tile = desc.buffer.read_tile(coords, view.shape)
-            on_complete = partial(view.write, tile)
-        yield _issue
-        yield TmaIssue(_bytes, barrier=bar, on_complete=on_complete)
-
-    b.emit_gen(gen)
-
-
-@_emitter("gpu.cp_async")
-def _emit_cp_async(b: _PlanBuilder, op: gpu.CpAsyncOp) -> None:
-    ds = b.slot(op.desc)
-    coord_slots = tuple(b.slot(c) for c in op.coords)
-    ss = b.slot(op.smem)
-    num_bytes = op.bytes
-    issue_cycles = (num_bytes / 1024.0 * b.config.cp_async_issue_cycles_per_kb
-                    * b.work_fraction)
-    issue = b.delay(issue_cycles)
-    functional = b.tensor_real
-
-    def gen(regs, ctx, _ds=ds, _coords=coord_slots, _ss=ss, _bytes=num_bytes,
-            _issue=issue, _functional=functional):
-        view = regs[_ss]
-        on_complete = None
-        if _functional:
-            desc = regs[_ds]
-            coords = [int(regs[c]) for c in _coords]
-            tile = desc.buffer.read_tile(coords, view.shape)
-            on_complete = partial(view.write, tile)
-        yield _issue
-        yield CpAsyncIssue(_bytes, on_complete=on_complete)
-
-    b.emit_gen(gen)
-
-
-@_emitter("gpu.cp_async_wait")
-def _emit_cp_async_wait(b: _PlanBuilder, op: gpu.CpAsyncWaitOp) -> None:
-    b.emit_effect(b.delay(b.config.cp_async_wait_cycles), None)
-    b.emit_effect(CpAsyncWait(op.pendings), None)
-
-
-@_emitter("gpu.smem_read")
-def _emit_smem_read(b: _PlanBuilder, op: gpu.SmemReadOp) -> None:
-    ss = b.slot(op.smem)
-    rd = b.new_slot(op.result)
-    elements = op.result.type.num_elements
-    functional = b.tensor_real
-    rty = op.result.type
-
-    if functional:
-        def fn(regs, ctx, _ss=ss, _rd=rd):
-            regs[_rd] = np.asarray(regs[_ss].read())
-    else:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-
-    # Coalescible: between the mbarrier/aref acquire and the matching release
-    # (both non-coalescible steps) the slot's contents are stable by protocol,
-    # so reading it at the end of the batched delay sees the same data.
-    b.emit_effect(b.delay(b.cuda_cost(elements) * 0.25), fn, coalescible=True)
-
-
-@_emitter("gpu.smem_write")
-def _emit_smem_write(b: _PlanBuilder, op: gpu.SmemWriteOp) -> None:
-    vs, ss = b.slot(op.value), b.slot(op.smem)
-    elements = (op.value.type.num_elements
-                if isinstance(op.value.type, TensorType) else 1)
-    functional = b.tensor_real
-
-    if not functional:
-        fn = None
-    else:
-        def fn(regs, ctx, _vs=vs, _ss=ss):
-            value = regs[_vs]
-            if not isinstance(value, SymbolicTile):
-                regs[_ss].write(np.asarray(value))
-
-    b.emit_effect(b.delay(b.cuda_cost(elements) * 0.5), fn)
-
-
-@_emitter("gpu.wgmma")
-def _emit_wgmma(b: _PlanBuilder, op: gpu.WgmmaOp) -> None:
-    a_s, b_s, acc_s = (b.slot(v) for v in (op.a, op.b, op.acc))
-    rd = b.new_slot(op.result)
-    dtype_bits = _operand_bits(op.a) or 16
-    acc_n = op.result.type.shape[1]
-    issue = b.delay(b.config.wgmma_issue_cycles)
-    wg_issue = WgmmaIssue(op.flops * b.work_fraction, dtype_bits, acc_n, chain=op)
-    transpose_b = op.transpose_b
-    functional = b.tensor_real
-    rty = op.result.type
-
-    b.emit_effect(issue, None, coalescible=True)
-    if functional:
-        def fn(regs, ctx, _a=a_s, _b=b_s, _acc=acc_s, _rd=rd, _tb=transpose_b):
-            acc = _as_array(regs[_acc])
-            a = _resolve_operand(regs[_a])
-            bb = _resolve_operand(regs[_b])
-            if _tb:
-                bb = np.transpose(bb)
-            regs[_rd] = _matmul(a, bb, acc)
-    else:
-        symb = SymbolicTile(tuple(rty.shape), rty.element_type)
-
-        def fn(regs, ctx, _rd=rd, _symb=symb):
-            regs[_rd] = _symb
-    b.emit_effect(wg_issue, fn)
-
-
-@_emitter("gpu.wgmma_wait")
-def _emit_wgmma_wait(b: _PlanBuilder, op: gpu.WgmmaWaitOp) -> None:
-    b.emit_effect(WgmmaWait(op.pendings), None)
-
-
-@_emitter("gpu.barrier_sync")
-def _emit_barrier_sync(b: _PlanBuilder, op: gpu.BarrierSyncOp) -> None:
-    delay = b.delay(b.config.barrier_sync_cycles)
-
-    def gen(regs, ctx, _delay=delay):
-        bar = ctx.named_barrier
-        yield _delay
-        if bar is not None and bar.count > 1:
-            yield CtaBarrier(bar)
-
-    b.emit_gen(gen)
 
 
 # ---------------------------------------------------------------------------

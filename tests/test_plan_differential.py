@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core.options import CompileOptions, NAIVE_OPTIONS, TRITON_BASELINE_OPTIONS
+from repro.frontend import kernel, tl
 from repro.gpusim.device import Device
 from repro.gpusim.plan import compile_plan
 from repro.kernels.attention import AttentionProblem, run_attention
 from repro.kernels.batched_gemm import BatchedGemmProblem, run_batched_gemm
-from repro.kernels.gemm import GemmProblem, run_gemm
+from repro.kernels.gemm import GemmProblem, make_gemm_inputs, run_gemm
 from repro.kernels.grouped_gemm import GroupedGemmProblem, run_grouped_gemm
 from repro.perf.counters import COUNTERS
 
@@ -226,3 +227,55 @@ class TestPlanInfrastructure:
         plan = compile_plan(compiled_ws.func, device.config, True)
         consumers = [r for r in plan.regions if r.role == "consumer"]
         assert consumers and all(r.observer_steps is not None for r in consumers)
+
+
+@kernel
+def max_gated_matmul_kernel(a_desc, b_desc, c_ptr, M, N, K,
+                            stride_cm: tl.constexpr, stride_cn: tl.constexpr,
+                            Mt: tl.constexpr, Nt: tl.constexpr, Kt: tl.constexpr):
+    """``matmul_kernel`` whose epilogue branches on a scalar reduction."""
+    pid = tl.program_id(axis=0)
+    num_pid_m = tl.cdiv(M, Mt)
+    pid_m = pid % num_pid_m
+    pid_n = pid // num_pid_m
+    o_am = pid_m * Mt
+    o_bn = pid_n * Nt
+    o_k = 0
+    acc = tl.zeros((Mt, Nt), dtype=tl.float32)
+    for k in tl.range(0, tl.cdiv(K, Kt)):
+        a = tl.tma_load(a_desc, [o_am, o_k], [Mt, Kt])
+        b = tl.tma_load(b_desc, [o_bn, o_k], [Nt, Kt])
+        acc = tl.dot(a, b.T, acc=acc)
+        o_k += Kt
+    s = tl.max(tl.max(acc, axis=1), axis=0)
+    if s > 1.0:
+        acc = tl.exp(acc - s) * 0.5 + 1.0
+    offs_cm = pid_m * Mt + tl.arange(0, Mt)
+    offs_cn = pid_n * Nt + tl.arange(0, Nt)
+    c_ptrs = c_ptr + stride_cm * offs_cm[:, None] + stride_cn * offs_cn[None, :]
+    mask = (offs_cm[:, None] < M) & (offs_cn[None, :] < N)
+    tl.store(c_ptrs, acc, mask=mask)
+
+
+class TestScalarReductionInReplicatedConsumers:
+    """A scalar ``tt.reduce`` steering control flow in a cooperative consumer.
+
+    Every consumer replica must see the real reduction: an observer replica
+    that faked it would skip the branch and finish early.
+    """
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_branch_on_scalar_max(self, groups):
+        problem = GemmProblem(M=128, N=128, K=128, block_m=128, block_n=128,
+                              block_k=64)
+        options = CompileOptions(num_consumer_groups=groups)
+        results = []
+        for device in device_pair("functional"):
+            args, _, _ = make_gemm_inputs(problem, device)
+            result = device.run(max_gated_matmul_kernel, grid=problem.grid, args=args,
+                                constexprs=problem.constexprs(), options=options)
+            results.append((result, args["c_ptr"].buffer.to_numpy()))
+        (r_i, c_i), (r_p, c_p) = results
+        assert r_p.cycles == r_i.cycles
+        assert r_p.per_cta_cycles == r_i.per_cta_cycles
+        assert np.array_equal(c_p, c_i)
