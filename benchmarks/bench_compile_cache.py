@@ -87,7 +87,7 @@ def test_cold_vs_warm_process_compile(tmp_path):
     }
     emit_json("bench_compile_cache_cold_vs_warm", payload)
     print(f"\ncold process: {cold['wall_seconds'] * 1e3:.0f} ms wall, "
-          f"{cold['compile_seconds'] * 1e3:.1f} ms in passes "
+          f"{cold['compile_seconds'] * 1e3:.1f} ms in passes + verification "
           f"({cold['passes_run']} passes)")
     print(f"warm process: {warm['wall_seconds'] * 1e3:.0f} ms wall, "
           f"0 passes, {warm['disk_hits']} disk hits")

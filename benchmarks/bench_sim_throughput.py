@@ -16,11 +16,18 @@ triton-baseline GEMM, non-causal ``tt``-lowered attention) and compares
 codegen against plans on *that* configuration -- an apples-to-apples CTA
 batch.  The GEMM functional case is the regression gate: codegen must clear
 ``1.5x`` plans unless ``REPRO_BENCH_STRICT=0`` waives it (shared runners).
+
+A record-only series times warm launches of the serve mix's 2-CTA GEMM
+(128x512x128 with the paper's 128x256x64 tile) on the serial plans engine.
+Each CTA's WGMMA there is one tile-sized BLAS call, so the series notices a
+BLAS library that runs those calls multi-threaded (~100x slower per tile
+matmul on a 2-CPU host); the JSON records the library and its thread count.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import pytest
@@ -28,12 +35,16 @@ import pytest
 from conftest import emit_json, full_sweep_requested
 from repro.core.options import CompileOptions, TRITON_BASELINE_OPTIONS
 from repro.experiments.common import tawa_attention_options, tawa_gemm_options
+from repro.gpusim.blas import blas_info
 from repro.gpusim.device import Device
 from repro.kernels.attention import AttentionProblem, run_attention
-from repro.kernels.gemm import GemmProblem, run_gemm
+from repro.kernels.gemm import GemmProblem, make_gemm_inputs, matmul_kernel, run_gemm
 from repro.perf.counters import COUNTERS
 
 CODEGEN_GEMM_GATE = 1.5  # codegen-vs-plan floor on gemm-functional
+SMALL_GEMM = GemmProblem(M=128, N=512, K=128, block_m=128, block_n=256,
+                         block_k=64)
+SMALL_GEMM_LAUNCHES = 25  # warm launches behind the median
 
 
 def _gemm_case(full: bool):
@@ -193,3 +204,38 @@ def test_sim_throughput(benchmark, case):
         assert codegen_speedup >= CODEGEN_GEMM_GATE, (
             f"codegen {codegen_speedup:.2f}x < {CODEGEN_GEMM_GATE}x over "
             f"plans (set REPRO_BENCH_STRICT=0 to waive on noisy runners)")
+
+
+def test_small_gemm_warm_launch_latency(benchmark):
+    """Median warm launch latency of the serve mix's 2-CTA GEMM (record-only)."""
+    device = _device_for("plan", "functional")
+    options = tawa_gemm_options()
+    args, _, _ = make_gemm_inputs(SMALL_GEMM, device)
+
+    def launch():
+        return device.run(matmul_kernel, grid=SMALL_GEMM.grid, args=args,
+                          constexprs=SMALL_GEMM.constexprs(), options=options,
+                          flops=SMALL_GEMM.flops)
+
+    launch()  # warm compile + plan caches
+    latencies = []
+
+    def run_all():
+        latencies.clear()
+        for _ in range(SMALL_GEMM_LAUNCHES):
+            start = time.perf_counter()
+            launch()
+            latencies.append(time.perf_counter() - start)
+
+    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    median_ms = statistics.median(latencies) * 1e3
+    print(f"\nsmall gemm {SMALL_GEMM}: median warm launch {median_ms:.2f} ms "
+          f"over {len(latencies)} launches, BLAS {blas_info()}")
+    emit_json("sim_throughput_small_gemm_warm_latency", {
+        "problem": repr(SMALL_GEMM),
+        "engine": "plan",
+        "launches": len(latencies),
+        "median_ms": round(median_ms, 4),
+        "latencies_ms": [round(t * 1e3, 4) for t in latencies],
+        "blas": blas_info(),
+    }, benchmark=benchmark)

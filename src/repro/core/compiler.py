@@ -138,6 +138,7 @@ def compile_kernel(
     pipeline_name = resolve_pipeline_name(options)
     pm = build_pass_pipeline(options, config)
     pm.timing_sink = COUNTERS.record_pass_timing
+    pm.verify_sink = COUNTERS.record_verify_timing
     if dump_ir:
         pm.dump_each = lambda name, text: dumps.__setitem__(name, text)
     try:

@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.gpusim import executors, parallel
+from repro.gpusim import blas, executors, parallel
 from repro.gpusim import pool as pool_mod
 from repro.gpusim.config import DEFAULT_CONFIG, H100Config
 from repro.gpusim.launch import LaunchResult, LaunchSpec
@@ -124,6 +124,9 @@ class Device:
                  sanitize: bool | None = None):
         if mode not in ("functional", "performance"):
             raise ValueError(f"unknown device mode {mode!r}")
+        # Tile-sized BLAS calls run fastest on one thread; pool workers fork
+        # after this and inherit the setting (repro.gpusim.blas).
+        blas.pin_single_thread()
         self.config = config
         self.mode = mode
         self.max_ctas_per_sm_simulated = max_ctas_per_sm_simulated

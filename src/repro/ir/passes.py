@@ -61,12 +61,16 @@ class PassManager:
             pass finishes -- how the compiler driver feeds per-pass wall time
             into the :mod:`repro.perf.counters` block so compile cost is
             observable next to simulation cost.
+        verify_sink: when set, called with the seconds each between-pass
+            verification took (``verify_each``), so verification is counted
+            in compile cost without counting as a pass.
     """
 
     passes: list[Pass] = field(default_factory=list)
     verify_each: bool = True
     dump_each: Callable[[str, str], None] | None = None
     timing_sink: Callable[[str, float], None] | None = None
+    verify_sink: Callable[[float], None] | None = None
     timings: list[PassTiming] = field(default_factory=list)
 
     def add(self, *passes: Pass) -> "PassManager":
@@ -91,7 +95,10 @@ class PassManager:
             if self.timing_sink is not None:
                 self.timing_sink(p.name, elapsed)
             if self.verify_each:
+                start = time.perf_counter()
                 verify(module, context=f"after pass {p.name!r}")
+                if self.verify_sink is not None:
+                    self.verify_sink(time.perf_counter() - start)
             if self.dump_each is not None:
                 self.dump_each(p.name, print_op(module))
         return module

@@ -6,8 +6,10 @@ The simulator stack increments these as it works:
   and misses for both tiers -- the in-process LRU (``compile_cache_*``) and
   the optional ``REPRO_CACHE_DIR`` persistent tier (``compile_disk_*``) --
   and the pass pipeline feeds per-pass wall time into ``compile_seconds`` /
-  ``compile_pass_seconds`` through :meth:`SimCounters.record_pass_timing`, so
-  compile cost is observable next to simulation cost;
+  ``compile_pass_seconds`` through :meth:`SimCounters.record_pass_timing`
+  (and the between-pass IR verification into ``compile_verify_seconds``,
+  also part of ``compile_seconds``), so compile cost is observable next to
+  simulation cost;
 * the execution-plan cache (:mod:`repro.gpusim.plan`) counts plan builds and
   reuses;
 * the device counts CTAs simulated through each execution path and the
@@ -51,12 +53,15 @@ class SimCounters:
     #: the same content-addressed artifact already being compiled by another
     #: thread and waited for it instead of running the pipeline themselves
     compile_singleflight_waits: int = 0
-    #: pass-pipeline executions (repro.ir.passes timing hook): total passes
-    #: run, total compile wall-seconds, and per-pass wall-seconds.  A process
-    #: that satisfies every compile from the caches keeps these at zero.
+    #: pass-pipeline executions (repro.ir.passes timing hooks): total passes
+    #: run, total compile wall-seconds (passes plus verification), per-pass
+    #: wall-seconds, and the between-pass IR verification's wall-seconds.  A
+    #: process that satisfies every compile from the caches keeps these at
+    #: zero.
     compile_passes_run: int = 0
     compile_seconds: float = 0.0
     compile_pass_seconds: dict[str, float] = field(default_factory=dict)
+    compile_verify_seconds: float = 0.0
     #: execution-plan cache (repro.gpusim.plan), per (kernel, mode, config)
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
@@ -148,6 +153,15 @@ class SimCounters:
         self.compile_pass_seconds[name] = (
             self.compile_pass_seconds.get(name, 0.0) + seconds
         )
+
+    def record_verify_timing(self, seconds: float) -> None:
+        """Fold one between-pass IR verification into the compile cost.
+
+        Wired as the :attr:`repro.ir.passes.PassManager.verify_sink`; counts
+        toward ``compile_seconds`` but not ``compile_passes_run``.
+        """
+        self.compile_verify_seconds += seconds
+        self.compile_seconds += seconds
 
     def snapshot(self) -> dict:
         return {

@@ -79,6 +79,10 @@ def render_compile_report(counters: Mapping | None = None) -> str:
         f"compile wall time: {c.get('compile_seconds', 0.0) * 1e3:.2f} ms"
     )
     lines.append(
+        f"IR verification: {c.get('compile_verify_seconds', 0.0) * 1e3:.2f} ms "
+        f"(included in compile wall time)"
+    )
+    lines.append(
         f"artifact cache: {c.get('compile_cache_hits', 0)} memory hits, "
         f"{c.get('compile_cache_misses', 0)} misses; "
         f"disk tier: {c.get('compile_disk_hits', 0)} hits, "

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.gpusim.blas import blas_info
 from repro.gpusim.device import Device
 from repro.gpusim.executors import compile_spec
 from repro.gpusim.launch import LaunchResult, LaunchSpec
@@ -320,6 +321,7 @@ class SimService:
             "queued_slots": self._queue.qsize() if self._queue else 0,
             "inflight_keys": len(self._inflight),
             "closed": self._closed,
+            "blas": blas_info(),
         }
 
     # ------------------------------------------------------------------ warm compiles

@@ -4,6 +4,7 @@ attention kernels through the compilation driver."""
 
 import pytest
 
+from repro.core import compiler
 from repro.core.compiler import build_pass_pipeline, compile_kernel
 from repro.core.options import CompileError, CompileOptions
 from repro.core.pipelines import (
@@ -20,6 +21,7 @@ from repro.ir.dialects import scf, tawa
 from repro.ir.types import PointerType, TensorDescType, f16, f32, i32
 from repro.kernels.attention import attention_kernel
 from repro.kernels.gemm import matmul_kernel
+from repro.perf.counters import COUNTERS
 
 GEMM_TYPES = {
     "a_desc": TensorDescType(f16), "b_desc": TensorDescType(f16),
@@ -329,6 +331,27 @@ class TestPipelineRegistry:
         assert compiled.fingerprint is not None
         assert "warp-specialize" in compiled.pass_timings
         assert all(seconds >= 0.0 for seconds in compiled.pass_timings.values())
+
+    def test_compile_seconds_include_verification(self):
+        compiled = compile_gemm()
+        verify_seconds = COUNTERS.compile_verify_seconds
+        assert verify_seconds > 0.0
+        assert COUNTERS.compile_seconds >= (
+            sum(compiled.pass_timings.values()) + verify_seconds) * (1 - 1e-9)
+        # Verification is compile cost, not a pass.
+        assert COUNTERS.compile_passes_run == len(build_pass_pipeline(
+            CompileOptions()).passes)
+
+    def test_no_verify_seconds_without_verify_each(self, monkeypatch):
+        def unverified(options, config=None):
+            pm = build_pass_pipeline(options, config)
+            pm.verify_each = False
+            return pm
+
+        monkeypatch.setattr(compiler, "build_pass_pipeline", unverified)
+        compile_gemm()
+        assert COUNTERS.compile_passes_run > 0
+        assert COUNTERS.compile_verify_seconds == 0.0
 
 
 class TestDriver:

@@ -18,6 +18,7 @@ with ``asyncio.run`` from a synchronous body.
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 
 from repro import faults
 from repro.core.options import NAIVE_OPTIONS
+from repro.gpusim import blas
 from repro.gpusim.device import Device
 from repro.gpusim.launch import LaunchSpec
 from repro.gpusim.parallel import fork_available
@@ -368,6 +370,13 @@ class TestLifecycle:
                 await service.submit(spec)
 
         asyncio.run(scenario())
+
+    @pytest.mark.skipif(blas.blas_info()["threads"] is None
+                        or any(os.environ.get(v) for v in blas.THREAD_VARS),
+                        reason="needs OpenBLAS at its default thread count")
+    def test_stats_report_single_threaded_blas(self):
+        service = SimService(Device(mode="functional"), FAST)
+        assert service.stats()["blas"]["threads"] == 1
 
     def test_context_exit_drains_inflight_work(self):
         device = Device(mode="functional")
