@@ -12,7 +12,7 @@ Also measured: the warm path (memory-tier hit per kernel), which must be
 orders of magnitude below the cold analysis itself.
 
 Emits ``analysis_overhead`` to ``benchmarks/out/`` with the per-kernel
-timings and the ratio.  ``REPRO_OVERHEAD_STRICT=0`` downgrades the 20%
+timings and the ratio.  ``REPRO_BENCH_STRICT=0`` downgrades the 20%
 assertion to record-only (shared CI runners make tight wall-clock ratios
 flaky); a bounded 1x sanity bar -- analysis may never cost more than the
 compiles it annotates -- always applies.
@@ -20,10 +20,9 @@ compiles it annotates -- always applies.
 
 from __future__ import annotations
 
-import os
 import time
 
-from conftest import emit_json
+from conftest import bench_strict, emit_json
 from repro.analysis import get_analysis
 from repro.gpusim.device import Device, clear_compile_cache
 from repro.perf.counters import COUNTERS
@@ -56,10 +55,10 @@ def test_analysis_overhead(benchmark):
     def run_once():
         clear_compile_cache()
         start = time.perf_counter()
-        compiled_all = _compile_all(Device(mode="functional", use_plans=False))
+        compiled_all = _compile_all(Device(mode="functional", engine="interp"))
         compile_seconds = time.perf_counter() - start
 
-        device = Device(mode="functional", use_plans=False)
+        device = Device(mode="functional", engine="interp")
         per_kernel = []
         start = time.perf_counter()
         for name, compiled in compiled_all:
@@ -114,8 +113,7 @@ def test_analysis_overhead(benchmark):
     assert measured["kernels"] >= 8
     assert COUNTERS.analysis_memory_hits >= measured["kernels"]
 
-    strict = os.environ.get("REPRO_OVERHEAD_STRICT", "1") not in ("0", "false", "off")
-    if strict:
+    if bench_strict():
         assert ratio_pct < OVERHEAD_BUDGET_PCT, (
             f"static analysis cost {ratio_pct:.1f}% of cold compile time, "
             f"budget is {OVERHEAD_BUDGET_PCT:.0f}% "

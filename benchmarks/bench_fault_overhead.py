@@ -15,7 +15,7 @@ policy, not by throughput): the wall-clock cost of recovering from one
 injected worker kill.
 
 Emits ``fault_overhead`` to ``benchmarks/out/`` with the clean curves, the
-overhead ratio and the recovery measurement.  ``REPRO_OVERHEAD_STRICT=0``
+overhead ratio and the recovery measurement.  ``REPRO_BENCH_STRICT=0``
 downgrades the 5% assertion to record-only (shared CI runners make tight
 wall-clock ratios flaky); the bounded 2x sanity bar always applies.
 """
@@ -23,12 +23,11 @@ wall-clock ratios flaky); the bounded 2x sanity bar always applies.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 
 import pytest
 
-from conftest import emit_json, full_sweep_requested
+from conftest import bench_strict, emit_json, full_sweep_requested
 from repro import faults
 from repro.experiments.common import tawa_gemm_options
 from repro.gpusim.device import Device
@@ -129,8 +128,7 @@ def test_fault_supervision_overhead(benchmark):
     assert result.cycles == baseline["cycles"]
     assert recovery["output_digest"] == baseline["output_digest"]
 
-    strict = os.environ.get("REPRO_OVERHEAD_STRICT", "1") not in ("0", "false", "off")
-    if strict:
+    if bench_strict():
         assert overhead_pct < 5.0, (
             f"clean-run supervision overhead {overhead_pct:.1f}% exceeds the "
             f"5% budget (baseline {baseline['seconds']}s vs supervised "

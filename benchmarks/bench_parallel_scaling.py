@@ -17,7 +17,7 @@ counts and records the throughput curve.  Two properties are tracked:
   bounded instead.
 
 ``REPRO_FULL=1`` sweeps a larger grid and worker counts up to 8.
-``REPRO_SCALING_STRICT=0`` downgrades the 2x threshold to record-only (used
+``REPRO_BENCH_STRICT=0`` downgrades the 2x threshold to record-only (used
 by CI, where shared runners make wall-clock thresholds flaky).
 """
 
@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from conftest import emit_json, full_sweep_requested
+from conftest import bench_strict, emit_json, full_sweep_requested
 from repro.experiments.common import tawa_gemm_options
 from repro.gpusim.device import Device
 from repro.gpusim.parallel import fork_available
@@ -107,8 +107,7 @@ def test_parallel_scaling(benchmark):
         assert row["output_digest"] == serial["output_digest"]
 
     by_workers = {row["workers"]: row for row in rows}
-    strict = os.environ.get("REPRO_SCALING_STRICT", "1") not in ("0", "false", "off")
-    if strict and cpus >= 4 and 4 in by_workers:
+    if bench_strict() and cpus >= 4 and 4 in by_workers:
         # On real multi-core hardware 4-way sharding must at least halve the
         # wall-clock of the embarrassingly parallel grid.
         assert by_workers[4]["ctas_per_sec"] >= 2.0 * serial["ctas_per_sec"], (

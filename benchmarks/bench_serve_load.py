@@ -21,7 +21,7 @@ generator and records the serve layer's headline numbers:
   ``run_many`` per request over the same 2-worker pool -- must run all of
   them.  Requests/s, p50/p99 latency and the coalesce rate are recorded;
   the throughput gate (serve >= direct) is enforced unless
-  ``REPRO_THROUGHPUT_STRICT=0`` (CI), the curve is recorded regardless.
+  ``REPRO_BENCH_STRICT=0`` (CI), the curve is recorded regardless.
 
 Bit-identity is asserted alongside: for every distinct problem the serve
 reply's output digest must equal the digest of a direct
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
 import time
 
 import pytest
 
-from conftest import emit_json, full_sweep_requested
+from conftest import bench_strict, emit_json, full_sweep_requested
 from repro.experiments.common import tawa_gemm_options
 from repro.gpusim.device import Device, clear_compile_cache
 from repro.gpusim.launch import LaunchSpec
@@ -248,9 +247,7 @@ def test_serve_load(benchmark):
     for seed in seeds:
         assert serve["digests"][seed] == [direct["digests"][seed]]
 
-    strict = os.environ.get("REPRO_THROUGHPUT_STRICT", "1") not in (
-        "0", "false", "off")
-    if strict:
+    if bench_strict():
         # The serve layer's point: under a realistic duplicated load it
         # answers more clients per second than a caller running every
         # request, because coalescing executes each distinct problem once.

@@ -26,13 +26,12 @@ matmul on a 2-CPU host); the JSON records the library and its thread count.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
 import pytest
 
-from conftest import emit_json, full_sweep_requested
+from conftest import bench_strict, emit_json, full_sweep_requested
 from repro.core.options import CompileOptions, TRITON_BASELINE_OPTIONS
 from repro.experiments.common import tawa_attention_options, tawa_gemm_options
 from repro.gpusim.blas import blas_info
@@ -92,12 +91,12 @@ def _codegen_case(case: str, full: bool):
     return problem, CompileOptions(lower_to="tt"), run_attention
 
 
+#: This benchmark's series labels -> Device(engine=...) values.
+_DEVICE_ENGINES = {"interpreter": "interp", "plan": "plans", "codegen": "codegen"}
+
+
 def _device_for(engine: str, mode: str) -> Device:
-    if engine == "interpreter":
-        return Device(mode=mode, use_plans=False, max_ctas_per_sm_simulated=8)
-    if engine == "plan":
-        return Device(mode=mode, use_plans=True, max_ctas_per_sm_simulated=8)
-    return Device(mode=mode, use_plans=True, codegen=True,
+    return Device(mode=mode, engine=_DEVICE_ENGINES[engine],
                   max_ctas_per_sm_simulated=8)
 
 
@@ -199,8 +198,7 @@ def test_sim_throughput(benchmark, case):
     # The codegen series must actually vectorize (no silent fallback) ...
     assert codegen["ctas_batched"] >= codegen["simulated_ctas"]
     # ... and on the GEMM functional gate it must beat plans outright.
-    strict = os.environ.get("REPRO_BENCH_STRICT", "1") not in ("0", "false")
-    if case == "gemm-functional" and strict:
+    if case == "gemm-functional" and bench_strict():
         assert codegen_speedup >= CODEGEN_GEMM_GATE, (
             f"codegen {codegen_speedup:.2f}x < {CODEGEN_GEMM_GATE}x over "
             f"plans (set REPRO_BENCH_STRICT=0 to waive on noisy runners)")

@@ -15,7 +15,7 @@ launches/s:
 Correctness is asserted alongside (both engines must produce bit-identical
 output digests per launch); the throughput expectation -- the pool must at
 least match serial execution on a sustained stream -- is enforced unless
-``REPRO_THROUGHPUT_STRICT=0`` (used by CI, where shared runners make
+``REPRO_BENCH_STRICT=0`` (used by CI, where shared runners make
 wall-clock thresholds flaky; the curve is still recorded as JSON).
 
 ``REPRO_FULL=1`` lengthens the stream.
@@ -24,12 +24,11 @@ wall-clock thresholds flaky; the curve is still recorded as JSON).
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 
 import pytest
 
-from conftest import emit_json, full_sweep_requested
+from conftest import bench_strict, emit_json, full_sweep_requested
 from repro.experiments.common import tawa_gemm_options
 from repro.gpusim.device import Device
 from repro.gpusim.parallel import fork_available
@@ -116,9 +115,7 @@ def test_sustained_throughput(benchmark):
     assert pool_row["pool_workers_spawned"] == 0  # warmed before the stream
     assert serial_row["pool_launches"] == 0
 
-    strict = os.environ.get("REPRO_THROUGHPUT_STRICT", "1") not in (
-        "0", "false", "off")
-    if strict:
+    if bench_strict():
         # The pool's whole point: a sustained stream of identical launches
         # must not be slower than running every CTA in the caller.
         assert pool_row["launches_per_sec"] >= serial_row["launches_per_sec"], (

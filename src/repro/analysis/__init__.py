@@ -22,8 +22,8 @@ The analyses:
 * :mod:`~repro.analysis.resources` -- hardware-budget facts in lint form,
   shared with the autotuner's static pruning.
 
-:mod:`~repro.analysis.sanitizer` is the runtime half: ``Device(sanitize=True)``
-replays every committed aref transition through the formal protocol model,
+:mod:`~repro.analysis.sanitizer` is the runtime half:
+``Device(engine="sanitize")`` replays every committed aref transition through the formal protocol model,
 validating the static analyses TSan-style (see ``tests/test_analysis.py``'s
 mutation differential suite).
 """

@@ -75,7 +75,7 @@ def lint_workloads(names: list, device: Device | None = None) -> list:
     Compilation goes through the process-wide compiler service, so on a warm
     disk cache neither the compiles nor the analyses actually run.
     """
-    device = device or Device(mode="functional", use_plans=False)
+    device = device or Device(mode="functional", engine="interp")
     results = []
     for name in names:
         workload = registry.get(name)

@@ -1,10 +1,10 @@
 """TSan-style runtime validation of the static channel model.
 
-With ``Device(sanitize=True)`` (or ``REPRO_SIM_SANITIZE=1``) the mid-level
-interpreter records every aref transition it actually performs -- which slot,
-which protocol step, from which warp-group role -- and replays the sequence
-through the *formal* protocol model (:class:`repro.core.aref.ArefSlot`, the
-executable Fig. 4 semantics).  Any divergence between what the simulated
+With ``Device(engine="sanitize")`` (or ``REPRO_SIM_ENGINE=sanitize``) the
+mid-level interpreter records every aref transition it actually performs --
+which slot, which protocol step, from which warp-group role -- and replays
+the sequence through the *formal* protocol model
+(:class:`repro.core.aref.ArefSlot`, the executable Fig. 4 semantics).  Any divergence between what the simulated
 kernel did and what the protocol permits raises :class:`SanitizerError`
 naming the slot, the offending step and the recorded history.
 
@@ -32,8 +32,8 @@ class SanitizerError(SimulationError):
 class CtaSanitizer:
     """Per-CTA recorder validating aref transitions as they commit.
 
-    One instance is attached to the CTA context when the launch runs with
-    ``sanitize=True``; every warp-group agent of the CTA reports through it
+    One instance is attached to the CTA context when the launch runs on the
+    ``"sanitize"`` engine; every warp-group agent of the CTA reports through it
     (agents interleave cooperatively inside one engine, so no locking).  Each
     runtime slot is shadowed by a formal :class:`ArefSlot`; transitions are
     validated *eagerly* at commit time, and :meth:`finalize` checks the drain

@@ -208,6 +208,45 @@ class MemoryCache:
             return key in self._entries
 
 
+def quarantine(path: Path) -> bool:
+    """Move a damaged disk entry out of the lookup namespace (best-effort).
+
+    ``<name>.corrupt`` never matches a store's lookups, so the entry is a
+    guaranteed miss while the bytes survive for diagnosis.  Falls back to
+    unlinking when the rename fails (e.g. a read-only directory).  Returns
+    whether the bytes were kept -- what the ``*_quarantined`` counters count.
+    """
+    try:
+        os.replace(path, path.with_name(f"{path.name}.corrupt"))
+        return True
+    except OSError:
+        pass
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+    return False
+
+
+def atomic_write(path: Path, write_fn: Callable[[Path], None],
+                 quarantine_fn: Callable[[Path], None]) -> bool:
+    """Persist ``path`` so concurrent processes only ever see complete entries.
+
+    ``write_fn(tmp)`` fills a sibling temp file that ``os.replace`` moves into
+    place.  Failures are swallowed (persistence is an optimization) and the
+    partial temp file goes to ``quarantine_fn``.  Returns whether it wrote.
+    """
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except Exception:
+        quarantine_fn(tmp)
+        return False
+    return True
+
+
 class DiskCache:
     """Persistent tier: one atomically-written, version-stamped pickle per key."""
 
@@ -245,50 +284,25 @@ class DiskCache:
         return payload
 
     def store(self, key: str, payload: dict) -> bool:
-        """Atomically persist ``payload`` under ``key``.
-
-        The temp-file + ``os.replace`` dance guarantees concurrent processes
-        (e.g. a sweep sharded across machines on one filesystem) only ever
-        observe complete entries.  Failures (read-only directory, unpicklable
-        payload) are counted and swallowed: persistence is an optimization.
-        """
+        """Atomically persist ``payload`` under ``key``; failures are counted."""
         payload = dict(payload, version=CACHE_VERSION, key=key)
         path = self.path_for(key)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
+
+        def write(tmp: Path) -> None:
             faults.raise_injected_io("cache_write", path)
             with open(tmp, "wb") as fh:
                 pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except Exception:
+
+        if not atomic_write(path, write, self._quarantine):
             COUNTERS.compile_disk_errors += 1
-            # A partial temp file is the write's evidence; quarantine it so
-            # it can be inspected but can never be picked up by a lookup.
-            self._quarantine(tmp)
             return False
         COUNTERS.compile_disk_writes += 1
         return True
 
     @staticmethod
     def _quarantine(path: Path) -> None:
-        """Move a damaged entry out of the lookup namespace (best-effort).
-
-        ``<name>.corrupt`` never matches ``path_for`` or a ``*.pkl`` glob, so
-        the entry is a guaranteed miss from here on while the bytes survive
-        for diagnosis.  Falls back to unlinking when even the rename fails
-        (e.g. a read-only directory); a path that no longer exists is a no-op.
-        """
-        try:
-            os.replace(path, path.with_name(f"{path.name}.corrupt"))
+        if quarantine(path):
             COUNTERS.compile_disk_quarantined += 1
-            return
-        except OSError:
-            pass
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
 
 def resolve_disk_cache() -> DiskCache | None:

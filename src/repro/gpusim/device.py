@@ -7,7 +7,7 @@
   :class:`repro.core.service.CompilerService` (content-addressed artifacts,
   shared across devices and -- with ``REPRO_CACHE_DIR`` -- across processes),
 * selects an :class:`~repro.gpusim.executors.Executor` from its
-  ``(mode, workers, use_plans, collect_trace)`` settings and delegates every
+  ``(mode, engine, workers, collect_trace)`` settings and delegates every
   launch path -- :meth:`launch`, :meth:`run_many`, the figure sweeps --
   through it.
 
@@ -35,7 +35,6 @@ deduplicates compilation and overlaps it with pooled execution.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -68,18 +67,6 @@ def clear_compile_cache() -> None:
     from repro.core.service import reset_compiler_service
 
     reset_compiler_service()
-
-
-def _env_use_plans() -> bool:
-    return os.environ.get("REPRO_SIM_PLANS", "1") not in ("0", "false", "off")
-
-
-def _env_codegen() -> bool:
-    return os.environ.get("REPRO_SIM_CODEGEN", "0") in ("1", "true", "on")
-
-
-def _env_sanitize() -> bool:
-    return os.environ.get("REPRO_SIM_SANITIZE", "0") in ("1", "true", "on")
 
 
 class LaunchBatch:
@@ -116,12 +103,10 @@ class Device:
 
     def __init__(self, config: H100Config = DEFAULT_CONFIG, mode: str = "functional",
                  max_ctas_per_sm_simulated: int = 8, collect_trace: bool = False,
-                 use_plans: bool | None = None,
+                 engine: str | None = None,
                  workers: "int | pool_mod.WorkerPool | None" = None,
                  shard_timeout: float | None = None,
-                 shard_retries: int | None = None,
-                 codegen: bool | None = None,
-                 sanitize: bool | None = None):
+                 shard_retries: int | None = None):
         if mode not in ("functional", "performance"):
             raise ValueError(f"unknown device mode {mode!r}")
         # Tile-sized BLAS calls run fastest on one thread; pool workers fork
@@ -131,10 +116,12 @@ class Device:
         self.mode = mode
         self.max_ctas_per_sm_simulated = max_ctas_per_sm_simulated
         self.collect_trace = collect_trace
-        # use_plans: execute CTAs through compile-once execution plans
-        # (repro.gpusim.plan).  The IR interpreter remains available as the
-        # differential-testing oracle via use_plans=False or REPRO_SIM_PLANS=0.
-        self.use_plans = _env_use_plans() if use_plans is None else bool(use_plans)
+        # engine: "plans" (compile-once execution plans, the default),
+        # "interp" (the IR interpreter, the differential oracle), "codegen"
+        # (one generated NumPy call per vectorizable launch, plans otherwise)
+        # or "sanitize" (the interpreter, serially, validating every aref
+        # transition).  None consults REPRO_SIM_ENGINE.
+        self.engine = executors.resolve_engine(engine)
         # workers: shard functional grids across the process-global pool of
         # N persistent workers (repro.gpusim.pool) when N >= 2.  None
         # consults REPRO_SIM_WORKERS; 0 or "auto" selects the CPU count.  A
@@ -149,25 +136,11 @@ class Device:
         # (None consults REPRO_SIM_SHARD_RETRIES).
         self.shard_timeout = parallel.resolve_shard_timeout(shard_timeout)
         self.shard_retries = parallel.resolve_shard_retries(shard_retries)
-        # codegen: batch vectorizable launches through one generated NumPy
-        # call per launch (repro.gpusim.codegen); non-vectorizable launches
-        # fall back to plans/interpreter.  None consults REPRO_SIM_CODEGEN
-        # (default off).  Results are bit-identical to serial.
-        self.codegen = _env_codegen() if codegen is None else bool(codegen)
-        # sanitize: validate every committed aref transition against the
-        # formal protocol model (repro.analysis.sanitizer), TSan-style.
-        # Forces serial interpreter execution.  None consults
-        # REPRO_SIM_SANITIZE (default off).
-        self.sanitize = _env_sanitize() if sanitize is None else bool(sanitize)
-        # Reject explicitly contradictory knob combinations up front; knobs
-        # resolved from the environment are judged by the selection matrix
+        # Reject explicitly contradictory combinations up front; an engine
+        # resolved from the environment is judged by the selection matrix
         # (graceful degradation), not here.
         executors.validate_engine_settings(
-            collect_trace=self.collect_trace,
-            pool=explicit_pool,
-            codegen=self.codegen if codegen is not None else None,
-            sanitize=self.sanitize if sanitize is not None else None,
-        )
+            collect_trace=self.collect_trace, pool=explicit_pool, engine=engine)
 
     # ------------------------------------------------------------------ executor
 
@@ -183,12 +156,10 @@ class Device:
             mode=self.mode,
             max_ctas_per_sm_simulated=self.max_ctas_per_sm_simulated,
             collect_trace=self.collect_trace,
-            use_plans=self.use_plans,
+            engine=self.engine,
             shard_timeout=self.shard_timeout,
             shard_retries=self.shard_retries,
             pool=self.pool,
-            codegen=self.codegen,
-            sanitize=self.sanitize,
         )
 
     def executor(self) -> executors.ExecutorBase:
@@ -196,7 +167,7 @@ class Device:
 
         Re-selected per call from the live attribute values (they are plain
         and mutable), so tests toggling ``device.workers`` or
-        ``device.use_plans`` see the strategy change immediately.
+        ``device.engine`` see the strategy change immediately.
         """
         return executors.select_executor(self.executor_settings())
 

@@ -44,6 +44,9 @@ from repro.perf.counters import COUNTERS
 #: One executed CTA: (cycles, tensor-core busy cycles, bytes copied).
 CtaRow = tuple[float, float, int]
 
+#: The CTA engines (``Device(engine=...)`` / ``REPRO_SIM_ENGINE``).
+ENGINES = ("interp", "plans", "codegen", "sanitize")
+
 
 @dataclass(frozen=True)
 class ExecutorSettings:
@@ -58,7 +61,8 @@ class ExecutorSettings:
     mode: str = "functional"
     max_ctas_per_sm_simulated: int = 8
     collect_trace: bool = False
-    use_plans: bool = True
+    #: CTA engine, one of ENGINES (see Device.__init__)
+    engine: str = "plans"
     #: supervision policy for pooled launches (see repro.gpusim.parallel):
     #: seconds a shard may go without progress before it is declared hung
     #: (0 disables the deadline), and retries per failed shard before the
@@ -68,17 +72,15 @@ class ExecutorSettings:
     #: persistent worker pool (repro.gpusim.pool.WorkerPool) functional
     #: launches are sharded across; None = serial execution.
     pool: Any = None
-    #: vectorized plan-to-source engine (repro.gpusim.codegen): batch all
-    #: CTAs of a launch through one generated NumPy call, falling back to
-    #: plans for launches the emitter cannot vectorize.
-    codegen: bool = False
-    #: validate every committed aref transition against the formal protocol
-    #: model (repro.analysis.sanitizer); forces serial interpreter execution
-    sanitize: bool = False
 
     @property
     def functional(self) -> bool:
         return self.mode == "functional"
+
+    @property
+    def planned(self) -> bool:
+        """Whether CTAs run execution plans (not the interpreter)."""
+        return self.engine in ("plans", "codegen")
 
 
 def infer_arg_type(value: Any) -> Type:
@@ -114,9 +116,8 @@ def compile_spec(settings: ExecutorSettings, kern, args: Mapping[str, Any],
     from repro.core.service import get_compiler_service
 
     arg_types = {name: infer_arg_type(value) for name, value in args.items()}
-    use_plans = settings.use_plans and not settings.sanitize
-    plan_modes = (settings.functional,) if use_plans else ()
-    codegen_modes = (settings.functional,) if settings.codegen else ()
+    plan_modes = (settings.functional,) if settings.planned else ()
+    codegen_modes = (settings.functional,) if settings.engine == "codegen" else ()
     return get_compiler_service().compile(
         kern, arg_types, constexprs, options, config=settings.config,
         plan_modes=plan_modes, codegen_modes=codegen_modes,
@@ -229,7 +230,7 @@ class ExecutorBase:
             launched_grid=launched_grid,
             num_tiles=total_tiles,
             arg_values=dict(spec.args),
-            sanitize=settings.sanitize,
+            sanitize=settings.engine == "sanitize",
         )
 
         active_sms = min(settings.config.num_sms, launched_ctas)
@@ -257,7 +258,7 @@ class ExecutorBase:
             extrapolated = per_sm > len(cta_ids)
 
         plan = None
-        if settings.use_plans and not settings.sanitize:
+        if settings.planned:
             from repro.gpusim.plan import get_plan
 
             # Plans are part of the compile artifact (built eagerly by
@@ -361,7 +362,7 @@ class ExecutorBase:
         across strategies.
         """
         settings = self.settings
-        if settings.sanitize:
+        if settings.engine == "sanitize":
             COUNTERS.analysis_sanitized_launches += 1
         per_cta_cycles = [row[0] for row in rows]
         tc_busy = 0.0

@@ -51,7 +51,7 @@ class PooledExecutor(SerialExecutor):
     def settings_state(self) -> tuple:
         """The picklable settings slice a pool work item carries."""
         s = self.settings
-        return (s.config, s.mode, s.max_ctas_per_sm_simulated, s.use_plans)
+        return (s.config, s.mode, s.max_ctas_per_sm_simulated, s.engine)
 
     def run(self, prepared: PreparedLaunch) -> LaunchResult:
         return self.submit(prepared).collect()

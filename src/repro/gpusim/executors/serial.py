@@ -13,7 +13,7 @@ class SerialExecutor(ExecutorBase):
     This is the reference strategy: functional launches run every CTA,
     performance-mode launches run the stratified sample, and either the
     compiled execution plan or the IR-interpreter oracle does the per-CTA
-    work (``use_plans``).  The pooled executor defines itself against this
+    work (the settings' ``engine``).  The pooled executor defines itself against this
     class -- any launch the pool cannot take runs exactly this body.
     """
 

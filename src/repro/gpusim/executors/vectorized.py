@@ -1,11 +1,11 @@
 """The codegen executor: one vectorized NumPy call per launch.
 
-:class:`CodegenExecutor` is the third engine behind the selection matrix
+:class:`CodegenExecutor` runs ``engine="codegen"``, the third CTA engine
 (interpreter -> plans -> codegen).  For launches whose kernel the
 plan-to-source emitter (:mod:`repro.gpusim.codegen`) proved vectorizable, it
 
-1. simulates **one representative CTA** through the normal per-CTA engine
-   (plans or the interpreter) to obtain the launch's timing row -- the
+1. simulates **one representative CTA** through the launch's execution plan
+   to obtain the launch's timing row -- the
    emitter only vectorizes launch-uniform control flow, under which every
    CTA of a launch produces the same ``(cycles, tc_busy, bytes)`` row, so
    replicating the representative row is bit-identical to simulating all of
@@ -19,7 +19,7 @@ plan-to-source emitter (:mod:`repro.gpusim.codegen`) proved vectorizable, it
 
 Everything else -- non-vectorizable kernels, launches whose runtime
 arguments alias reads with writes, trace collection -- falls back to the
-executor the device would have selected without codegen, counted by
+executor the device would have selected with ``engine="plans"``, counted by
 ``codegen_fallback_launches``.
 """
 
@@ -42,10 +42,10 @@ class CodegenExecutor(ExecutorBase):
         super().__init__(settings)
         from repro.gpusim.executors import select_executor
 
-        # The executor this device would use without codegen; prepare() is
-        # shared (no strategy overrides it), so a PreparedLaunch built here
-        # is directly runnable by the fallback.
-        self._fallback = select_executor(replace(settings, codegen=False))
+        # The executor this device would use on plans; prepare() is shared
+        # (no strategy overrides it), so a PreparedLaunch built here is
+        # directly runnable by the fallback.
+        self._fallback = select_executor(replace(settings, engine="plans"))
 
     # ------------------------------------------------------------------ entry
 

@@ -10,7 +10,7 @@ control flow (``scf.for``, ``scf.if``, inline ``tawa.warp_group``) and the
 CTA prologue.  What each op *does* -- its payload, its timing, its effects --
 comes from the op-semantics table in :mod:`repro.gpusim.ops`, which
 execution plans and codegen read too.  Walking the IR per CTA is slow, but it
-is the simplest executor of the table, so ``Device(use_plans=False)`` keeps
+is the simplest executor of the table, so ``Device(engine="interp")`` keeps
 it as the differential oracle for plans (which batch, fold and unroll) and
 for the pool.
 

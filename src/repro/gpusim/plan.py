@@ -32,7 +32,7 @@ builder's own jobs are:
 
 The differential tests in ``tests/test_plan_differential.py`` assert
 identical simulated cycle counts and functional outputs against the
-interpreter, which remains available behind ``Device(use_plans=False)`` as
+interpreter, which remains available behind ``Device(engine="interp")`` as
 the differential-testing oracle.
 """
 

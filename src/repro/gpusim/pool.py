@@ -220,10 +220,10 @@ def _pool_worker_main(conn, index: int, arena: SharedArena) -> None:
             if compiled is None:
                 conn.send(("stale", launch_id, shard.index, key))
                 continue
-            config, mode, max_ctas, use_plans = settings_state
+            config, mode, max_ctas, engine = settings_state
             executor = SerialExecutor(ExecutorSettings(
                 config=config, mode=mode,
-                max_ctas_per_sm_simulated=max_ctas, use_plans=use_plans))
+                max_ctas_per_sm_simulated=max_ctas, engine=engine))
             args = decode_args(encoded_args, arena)
             prepared = executor.prepare(LaunchSpec(compiled, grid, args))
             rows: list[tuple] = []

@@ -120,7 +120,7 @@ class SimCounters:
     #: static analysis (repro.analysis): analysis executions actually run,
     #: results served from the in-process memo / persistent disk tier,
     #: diagnostics produced across all runs, and launches simulated with the
-    #: aref sanitizer attached (Device(sanitize=True))
+    #: aref sanitizer attached (Device(engine="sanitize"))
     analysis_runs: int = 0
     analysis_memory_hits: int = 0
     analysis_disk_hits: int = 0

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro import faults
-from repro.core.cache import stable_digest
+from repro.core.cache import atomic_write, quarantine, stable_digest
 from repro.core.options import CompileOptions
 from repro.perf.counters import COUNTERS
 
@@ -150,43 +150,20 @@ class TuneStore:
         return record
 
     def store(self, record: TunedRecord) -> bool:
-        """Atomically persist one record (temp file + ``os.replace``).
-
-        Failures (read-only directory) are swallowed: persistence is an
-        optimization, exactly like the compile cache's disk tier.
-        """
+        """Atomically persist one record; failures are swallowed."""
         path = self.path_for(record.key)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
+
+        def write(tmp: Path) -> None:
             faults.raise_injected_io("cache_write", path)
             with open(tmp, "w", encoding="utf-8") as fh:
                 json.dump(record.payload(), fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except Exception:
-            self._quarantine(tmp)
-            return False
-        return True
+
+        return atomic_write(path, write, self._quarantine)
 
     @staticmethod
     def _quarantine(path: Path) -> None:
-        """Move a damaged entry out of the lookup namespace (best-effort).
-
-        Mirrors :meth:`repro.core.cache.DiskCache._quarantine`:
-        ``<name>.corrupt`` never matches ``path_for`` or a ``*.json`` glob,
-        so the entry is a guaranteed miss while the bytes survive for
-        diagnosis.  Falls back to unlinking when the rename fails.
-        """
-        try:
-            os.replace(path, path.with_name(f"{path.name}.corrupt"))
+        if quarantine(path):
             COUNTERS.tune_store_quarantined += 1
-            return
-        except OSError:
-            pass
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
 
 def resolve_tune_store() -> TuneStore | None:

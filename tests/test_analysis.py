@@ -7,7 +7,7 @@ Four layers under test:
   per violation class, produced by *mutating* a correctly-compiled kernel;
 * the mutation differential suite: every seeded protocol mutation must be
   caught **statically** (``analyze_channels``) or **dynamically**
-  (``Device(sanitize=True)`` raising :class:`SimulationError`), with zero
+  (``Device(engine="sanitize")`` raising :class:`SimulationError`), with zero
   silent escapes -- a mutation that neither layer flags fails the suite;
 * the wiring: the opt-in ``run_analysis`` pipeline stage, the sanitizer's
   engine-selection rules, the ``analysis_*`` counters and the
@@ -47,7 +47,7 @@ from repro.frontend import kernel, tl
 from repro.gpusim.config import DEFAULT_CONFIG
 from repro.gpusim.device import Device
 from repro.gpusim.engine import SimulationError
-from repro.gpusim.executors import SerialExecutor, validate_engine_settings
+from repro.gpusim.executors import validate_engine_settings
 from repro.ir.dialects import arith, tawa
 from repro.ir.types import PointerType, TensorDescType, f16, i32
 from repro.kernels.gemm import GemmProblem, make_gemm_inputs, matmul_kernel
@@ -75,7 +75,7 @@ def compile_mid_gemm():
 # ---------------------------------------------------------------------------
 # The mutation corpus: each entry seeds one protocol violation into a
 # *correct* kernel.  ``static`` names the diagnostic code analyze_channels
-# must emit; ``dynamic`` says whether Device(sanitize=True) must also raise.
+# must emit; ``dynamic`` says whether Device(engine="sanitize") must also raise.
 # ---------------------------------------------------------------------------
 
 def mutate_drop_consumed(func):
@@ -323,7 +323,7 @@ class TestResourceLints:
 
 def run_mutated_sanitized(compiled):
     """Launch a (possibly broken) mid-level kernel under the sanitizer."""
-    device = Device(sanitize=True, workers=1)
+    device = Device(engine="sanitize", workers=1)
     problem = GemmProblem(128, 128, 128, block_m=64, block_n=64, block_k=64)
     args, _, _ = make_gemm_inputs(problem, device)
     return device.run(compiled, grid=problem.grid, args=args,
@@ -369,7 +369,7 @@ class TestMutationDifferential:
 
     def test_clean_kernel_passes_sanitized_run(self):
         import numpy as np
-        device = Device(sanitize=True, workers=1)
+        device = Device(engine="sanitize", workers=1)
         problem = GemmProblem(128, 128, 128, block_m=64, block_n=64,
                               block_k=64)
         args, a, b = make_gemm_inputs(problem, device)
@@ -431,27 +431,23 @@ class TestCtaSanitizer:
 # ---------------------------------------------------------------------------
 
 class TestSanitizerWiring:
-    def test_sanitize_forces_serial_executor(self):
-        device = Device(sanitize=True)
-        assert isinstance(device.executor(), SerialExecutor)
+    """Which executor each engine selects is pinned by the one table in
+    ``tests/test_codegen.py::TestEngineSelection``; these are the
+    sanitizer's environment spelling and its explicit-pool cell."""
 
     def test_sanitize_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
-        assert Device().sanitize is True
-        monkeypatch.setenv("REPRO_SIM_SANITIZE", "0")
-        assert Device().sanitize is False
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "sanitize")
+        assert Device().engine == "sanitize"
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "plans")
+        assert Device().engine == "plans"
 
     def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
-        assert Device(sanitize=False).sanitize is False
-
-    def test_sanitize_plus_codegen_raises(self):
-        with pytest.raises(SimulationError):
-            validate_engine_settings(codegen=True, sanitize=True)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "sanitize")
+        assert Device(engine="plans").engine == "plans"
 
     def test_sanitize_plus_pool_raises(self):
         with pytest.raises(SimulationError):
-            validate_engine_settings(pool=True, sanitize=True)
+            validate_engine_settings(pool=True, engine="sanitize")
 
 
 # ---------------------------------------------------------------------------

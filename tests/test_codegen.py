@@ -11,10 +11,11 @@ covers the machinery around them:
   guarantee: a **second process** re-running a codegen sweep with
   ``REPRO_CACHE_DIR`` set performs *zero* emissions (``codegen_emitted``
   stays 0, disk-hit counters prove the reuse) with bit-identical results;
-* the engine-selection matrix: ``codegen=True`` / ``REPRO_SIM_CODEGEN``
-  select the :class:`CodegenExecutor`, runtime hazards (read/write aliasing)
-  fall back per launch, and explicitly contradictory knob combinations raise
-  :class:`SimulationError` at construction time (one test per matrix cell).
+* the engine-selection matrix: one table maps every ``engine=`` /
+  ``REPRO_SIM_ENGINE`` value x {serial, ``workers=2``, ``collect_trace``} to
+  the executor it selects or the :class:`SimulationError` an explicit
+  ``engine=`` raises at construction time; runtime hazards (read/write
+  aliasing) fall back per launch.
 """
 
 from __future__ import annotations
@@ -37,7 +38,11 @@ from repro.gpusim.codegen import CodegenArtifact, emit_artifact, get_codegen
 from repro.gpusim.config import DEFAULT_CONFIG
 from repro.gpusim.device import Device
 from repro.gpusim.engine import SimulationError
-from repro.gpusim.executors import CodegenExecutor, SerialExecutor
+from repro.gpusim.executors import (
+    CodegenExecutor,
+    PooledExecutor,
+    SerialExecutor,
+)
 from repro.kernels.gemm import GemmProblem, run_gemm
 from repro.perf.counters import COUNTERS
 
@@ -109,36 +114,86 @@ class TestEmitter:
 
 
 # ---------------------------------------------------------------------------
-# Engine selection + the validation matrix (one test per cell)
+# Engine selection + the validation matrix
 # ---------------------------------------------------------------------------
+
+#: engine x setup -> the executor the device selects, or the SimulationError
+#: an *explicit* ``engine=`` raises at construction.  An engine read from
+#: REPRO_SIM_ENGINE is never judged: those cells degrade to SerialExecutor.
+SELECTION_TABLE = {
+    ("interp", "serial"): SerialExecutor,
+    ("interp", "workers2"): PooledExecutor,
+    ("interp", "trace"): SerialExecutor,
+    ("plans", "serial"): SerialExecutor,
+    ("plans", "workers2"): PooledExecutor,
+    ("plans", "trace"): SerialExecutor,
+    ("codegen", "serial"): CodegenExecutor,
+    ("codegen", "workers2"): CodegenExecutor,
+    ("codegen", "trace"): SimulationError,
+    ("sanitize", "serial"): SerialExecutor,
+    ("sanitize", "workers2"): SerialExecutor,
+    ("sanitize", "trace"): SerialExecutor,
+}
+_SETUPS = {"serial": {"workers": 1}, "workers2": {"workers": 2},
+           "trace": {"collect_trace": True}}
 
 
 class TestEngineSelection:
-    def test_codegen_knob_selects_the_codegen_executor(self):
-        assert isinstance(Device(codegen=True).executor(), CodegenExecutor)
+    @pytest.mark.parametrize("source", ["explicit", "env"])
+    @pytest.mark.parametrize("engine,setup", list(SELECTION_TABLE),
+                             ids=[f"{e}-{s}" for e, s in SELECTION_TABLE])
+    def test_selection_table(self, engine, setup, source, monkeypatch):
+        expected = SELECTION_TABLE[(engine, setup)]
+        kwargs = dict(_SETUPS[setup])
+        if source == "explicit":
+            monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+            kwargs["engine"] = engine
+        else:
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            if expected is SimulationError:
+                expected = SerialExecutor
+        if expected is SimulationError:
+            with pytest.raises(SimulationError, match="codegen"):
+                Device(**kwargs)
+            return
+        executor = Device(**kwargs).executor()
+        assert type(executor) is expected
+        assert executor.settings.engine == engine
+        if expected is CodegenExecutor:
+            # The fallback is what the plans engine selects in the same setup.
+            assert type(executor._fallback) is SELECTION_TABLE[("plans", setup)]
+            assert executor._fallback.settings.engine == "plans"
+
+    @pytest.mark.parametrize("source", ["explicit", "env"])
+    def test_unknown_engine_names_the_valid_ones(self, source, monkeypatch):
+        kwargs = {}
+        if source == "explicit":
+            kwargs["engine"] = "vectorized"
+        else:
+            monkeypatch.setenv("REPRO_SIM_ENGINE", "vectorized")
+        with pytest.raises(SimulationError) as info:
+            Device(**kwargs)
+        message = str(info.value)
+        assert "vectorized" in message
+        for engine in ("interp", "plans", "codegen", "sanitize"):
+            assert engine in message
 
     def test_env_knob_selects_the_codegen_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_CODEGEN", "1")
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "codegen")
         assert isinstance(Device().executor(), CodegenExecutor)
-        monkeypatch.setenv("REPRO_SIM_CODEGEN", "0")
+        monkeypatch.setenv("REPRO_SIM_ENGINE", " CODEGEN ")
+        assert isinstance(Device().executor(), CodegenExecutor)
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "plans")
         assert not isinstance(Device().executor(), CodegenExecutor)
 
-    def test_codegen_composes_with_workers(self):
-        from repro.gpusim.executors import PooledExecutor
-
-        executor = Device(codegen=True, workers=2).executor()
-        assert isinstance(executor, CodegenExecutor)
-        assert isinstance(executor._fallback, PooledExecutor)
-
     def test_cell_use_plans_false_with_pool(self):
-        """Pool workers honour use_plans, so the interpreter oracle may run
-        on the pool: a valid cell, not a rejected one."""
-        from repro.gpusim.executors import PooledExecutor
+        """Pool workers honour the engine, so the interpreter oracle may run
+        on an explicit pool: a valid cell, not a rejected one."""
         from repro.gpusim.pool import get_worker_pool
 
-        device = Device(use_plans=False, workers=get_worker_pool(2))
+        device = Device(engine="interp", workers=get_worker_pool(2))
         assert isinstance(device.executor(), PooledExecutor)
-        assert device.executor_settings().use_plans is False
+        assert device.executor_settings().engine == "interp"
 
     def test_cell_collect_trace_with_workers_degrades(self):
         """A worker count is a hint; the pool has always been skipped
@@ -154,14 +209,10 @@ class TestEngineSelection:
         with pytest.raises(SimulationError, match="pool"):
             Device(collect_trace=True, workers=get_worker_pool(2))
 
-    def test_cell_collect_trace_with_codegen(self):
-        with pytest.raises(SimulationError, match="codegen"):
-            Device(collect_trace=True, codegen=True)
-
     def test_env_resolved_combos_degrade_gracefully(self, monkeypatch):
         """CI-wide env knobs must not make tracing devices unconstructable."""
         monkeypatch.setenv("REPRO_SIM_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SIM_CODEGEN", "1")
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "codegen")
         device = Device(collect_trace=True)  # must not raise
         assert isinstance(device.executor(), SerialExecutor)
 
@@ -169,10 +220,10 @@ class TestEngineSelection:
         from repro.gpusim.executors import validate_engine_settings
 
         with pytest.raises(SimulationError):
-            validate_engine_settings(collect_trace=True, codegen=True)
-        # Unset knobs (None) are never judged.
+            validate_engine_settings(collect_trace=True, engine="codegen")
+        # Unset values (None) are never judged.
         validate_engine_settings(collect_trace=True)
-        validate_engine_settings(sanitize=True)
+        validate_engine_settings(engine="sanitize")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +244,7 @@ class TestRuntimeFallback:
     def test_aliased_read_write_falls_back_and_stays_correct(self):
         """x_ptr is out_ptr: batched loads would see batched stores."""
         data = np.arange(64, dtype=np.float32)
-        device = Device(codegen=True)
+        device = Device(engine="codegen")
         ptr = device.pointer(data.copy(), "f32")
         fallbacks = COUNTERS.codegen_fallback_launches
         launches = COUNTERS.codegen_launches
@@ -206,7 +257,7 @@ class TestRuntimeFallback:
 
     def test_distinct_buffers_vectorize(self):
         data = np.arange(64, dtype=np.float32)
-        device = Device(codegen=True)
+        device = Device(engine="codegen")
         x = device.pointer(data.copy(), "f32")
         out = device.pointer(np.zeros(64, np.float32), "f32")
         launches = COUNTERS.codegen_launches
@@ -229,7 +280,7 @@ class TestCacheIntegration:
         """The pool's warm path: fingerprint lookup carries the codegens."""
         from repro.core.service import get_compiler_service
 
-        compiled = _compiled_gemm(NAIVE_OPTIONS, device=Device(codegen=True))
+        compiled = _compiled_gemm(NAIVE_OPTIONS, device=Device(engine="codegen"))
         resolved = get_compiler_service().lookup(compiled.fingerprint)
         assert resolved is compiled
         assert any(art.vectorizable for art in resolved.codegens.values())
@@ -266,7 +317,7 @@ for opts in (NAIVE_OPTIONS, TRITON_BASELINE_OPTIONS):
     for mn in (64, 96):
         problem = GemmProblem(M=mn, N=mn, K=64, block_m=32, block_n=32,
                               block_k=32, seed=5)
-        result, c = run_gemm(Device(codegen=True), problem, opts)
+        result, c = run_gemm(Device(engine="codegen"), problem, opts)
         results.append([result.cycles, c.astype(np.float64).tobytes().hex()])
 print(json.dumps({
     "results": results,
@@ -307,7 +358,7 @@ class TestPerfMode:
         r_p, _ = run_gemm(Device(mode="performance"), problem,
                           TRITON_BASELINE_OPTIONS)
         launches = COUNTERS.codegen_launches
-        r_c, _ = run_gemm(Device(mode="performance", codegen=True), problem,
+        r_c, _ = run_gemm(Device(mode="performance", engine="codegen"), problem,
                           TRITON_BASELINE_OPTIONS)
         assert COUNTERS.codegen_launches == launches + 1
         assert r_c.cycles == r_p.cycles

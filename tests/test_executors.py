@@ -51,15 +51,16 @@ _PARITY_COUNTERS = (
 class TestLaunchPrepParity:
     """Regression: launch and run_many share one launch-prep implementation."""
 
-    @pytest.mark.parametrize("use_plans", [True, False])
-    def test_identical_results_and_counters_for_same_spec(self, use_plans,
+    @pytest.mark.parametrize("planned", [True, False])
+    def test_identical_results_and_counters_for_same_spec(self, planned,
                                                           small_gemm):
         deltas = {}
         outputs = {}
         for path in ("launch", "run_many"):
             clear_compile_cache()
             COUNTERS.reset()
-            device = Device(mode="functional", use_plans=use_plans)
+            device = Device(mode="functional",
+                            engine="plans" if planned else "interp")
             spec = _gemm_spec(device, small_gemm)
             if path == "launch":
                 compiled = device.compile(spec.kernel, spec.args,
@@ -94,7 +95,7 @@ class TestSelection:
     def _settings(self, **kw) -> ExecutorSettings:
         defaults = dict(config=Device().config, mode="functional",
                         max_ctas_per_sm_simulated=8, collect_trace=False,
-                        use_plans=True, pool=None)
+                        engine="plans", pool=None)
         defaults.update(kw)
         return ExecutorSettings(**defaults)
 

@@ -4,11 +4,11 @@ Randomized small kernels and grids (seeded, so every CI run reproduces the
 same cases) are executed through the simulator's four functional execution
 paths:
 
-* the IR interpreter (``use_plans=False``) -- the semantics oracle,
-* compile-once execution plans (``use_plans=True``),
+* the IR interpreter (``engine="interp"``) -- the semantics oracle,
+* compile-once execution plans (``engine="plans"``),
 * persistent-pool execution (``workers=2`` on top of plans: long-lived
   workers and the reusable shared arena, :mod:`repro.gpusim.pool`), and
-* vectorized codegen (``codegen=True``: one generated NumPy batch call per
+* vectorized codegen (``engine="codegen"``: one generated NumPy batch call per
   launch, :mod:`repro.gpusim.codegen`, falling back to plans for kernels the
   emitter cannot vectorize -- the fallback path is differential-tested too),
 
@@ -74,12 +74,12 @@ ENGINES = ("interpreter", "plans", "pooled", "codegen")
 
 def _device(engine: str) -> Device:
     if engine == "interpreter":
-        return Device(mode="functional", use_plans=False, workers=1)
+        return Device(mode="functional", engine="interp", workers=1)
     if engine == "plans":
-        return Device(mode="functional", use_plans=True, workers=1)
+        return Device(mode="functional", engine="plans", workers=1)
     if engine == "codegen":
-        return Device(mode="functional", use_plans=True, workers=1, codegen=True)
-    return Device(mode="functional", use_plans=True, workers=2)
+        return Device(mode="functional", engine="codegen", workers=1)
+    return Device(mode="functional", engine="plans", workers=2)
 
 
 @dataclass(frozen=True)
@@ -532,7 +532,7 @@ class ChaosCase:
 
     def execute(self, engine: str) -> Observation:
         if engine == "pooled":
-            device = Device(mode="functional", use_plans=True, workers=2,
+            device = Device(mode="functional", engine="plans", workers=2,
                             shard_timeout=_CHAOS_TIMEOUT, shard_retries=2)
         else:
             return self.gemm.execute(engine)

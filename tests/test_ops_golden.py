@@ -21,6 +21,7 @@ import pytest
 
 from repro.gpusim.config import DEFAULT_CONFIG
 from repro.gpusim.engine import ArefSlotRuntime, Delay, MBarrier
+from repro.gpusim.interpreter import LaunchContext
 from repro.gpusim.memory import GlobalBuffer, Pointer, SmemTile, TensorDesc
 from repro.gpusim.ops import OPS, ArefRuntime, source
 from repro.ir import Value
@@ -450,8 +451,11 @@ class _Notes:
 
 
 def _ctx():
-    return SimpleNamespace(engine=_Notes(), sanitizer=None,
-                           launch=SimpleNamespace(sanitize=False), linear_id=0)
+    launch = LaunchContext(config=DEFAULT_CONFIG, functional=True,
+                           grid=(1, 1, 1), launched_grid=(1, 1, 1), num_tiles=1,
+                           arg_values={})
+    return SimpleNamespace(engine=_Notes(), sanitizer=None, launch=launch,
+                           linear_id=0)
 
 
 @golden("gpu.mbarrier_alloc")

@@ -559,13 +559,13 @@ class TestShardedLaunchesBitIdentical:
     def _gemm(self):
         return GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64, block_k=32)
 
-    @pytest.mark.parametrize("use_plans", [True, False],
+    @pytest.mark.parametrize("engine", ["plans", "interp"],
                              ids=["plans", "interpreter"])
-    def test_gemm_matches_serial(self, use_plans):
+    def test_gemm_matches_serial(self, engine):
         problem = self._gemm()
-        r_s, c_s = run_gemm(Device(mode="functional", use_plans=use_plans, workers=1),
+        r_s, c_s = run_gemm(Device(mode="functional", engine=engine, workers=1),
                             problem, WS_OPTIONS)
-        r_p, c_p = run_gemm(Device(mode="functional", use_plans=use_plans, workers=2),
+        r_p, c_p = run_gemm(Device(mode="functional", engine=engine, workers=2),
                             problem, WS_OPTIONS)
         assert COUNTERS.pool_launches == 1
         assert r_p.cycles == r_s.cycles

@@ -24,8 +24,8 @@ from repro.perf.counters import COUNTERS
 
 
 def device_pair(mode: str, **kwargs):
-    return (Device(mode=mode, use_plans=False, **kwargs),
-            Device(mode=mode, use_plans=True, **kwargs))
+    return (Device(mode=mode, engine="interp", **kwargs),
+            Device(mode=mode, engine="plans", **kwargs))
 
 
 GEMM_OPTION_CASES = [
@@ -112,8 +112,8 @@ class TestCodegenDifferential:
     def test_gemm_all_paths(self, name, options):
         problem = GemmProblem(M=256, N=256, K=128, block_m=64, block_n=64,
                               block_k=32)
-        plan = Device(mode="functional", use_plans=True)
-        gen = Device(mode="functional", use_plans=True, codegen=True)
+        plan = Device(mode="functional", engine="plans")
+        gen = Device(mode="functional", engine="codegen")
         r_p, c_p = run_gemm(plan, problem, options)
         r_c, c_c = run_gemm(gen, problem, options)
         assert r_c.cycles == r_p.cycles
@@ -126,7 +126,7 @@ class TestCodegenDifferential:
                               block_k=32)
         launches = COUNTERS.codegen_launches
         fallbacks = COUNTERS.codegen_fallback_launches
-        run_gemm(Device(codegen=True), problem, NAIVE_OPTIONS)
+        run_gemm(Device(engine="codegen"), problem, NAIVE_OPTIONS)
         assert COUNTERS.codegen_launches == launches + 1
         assert COUNTERS.codegen_fallback_launches == fallbacks
 
@@ -136,7 +136,7 @@ class TestCodegenDifferential:
         options = GEMM_OPTION_CASES[0][1]
         launches = COUNTERS.codegen_launches
         fallbacks = COUNTERS.codegen_fallback_launches
-        run_gemm(Device(codegen=True), problem, options)
+        run_gemm(Device(engine="codegen"), problem, options)
         assert COUNTERS.codegen_launches == launches
         assert COUNTERS.codegen_fallback_launches == fallbacks + 1
 
@@ -149,7 +149,7 @@ class TestCodegenDifferential:
         mod = importlib.import_module(f"repro.experiments.{fig}")
         plan = Device(mode="performance", max_ctas_per_sm_simulated=2)
         gen = Device(mode="performance", max_ctas_per_sm_simulated=2,
-                     codegen=True)
+                     engine="codegen")
         figs_p = mod.run(full=False, device=plan)
         figs_c = mod.run(full=False, device=gen)
         assert len(figs_p) == len(figs_c)
@@ -183,7 +183,7 @@ class TestPlanInfrastructure:
     def test_plan_is_cached_per_kernel(self):
         problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,
                               block_k=32)
-        device = Device(mode="functional", use_plans=True)
+        device = Device(mode="functional", engine="plans")
         before = COUNTERS.plan_cache_misses
         run_gemm(device, problem, CompileOptions())
         first_misses = COUNTERS.plan_cache_misses - before
@@ -202,10 +202,12 @@ class TestPlanInfrastructure:
         assert COUNTERS.compile_cache_hits > before
 
     def test_env_flag_disables_plans(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PLANS", "0")
-        assert Device(mode="functional").use_plans is False
-        monkeypatch.setenv("REPRO_SIM_PLANS", "1")
-        assert Device(mode="functional").use_plans is True
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "interp")
+        assert Device(mode="functional").engine == "interp"
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "plans")
+        assert Device(mode="functional").engine == "plans"
+        monkeypatch.delenv("REPRO_SIM_ENGINE")
+        assert Device(mode="functional").engine == "plans"
 
     def test_plan_compiles_both_modes(self):
         problem = GemmProblem(M=128, N=128, K=64, block_m=64, block_n=64,

@@ -220,16 +220,16 @@ class TestPooledExecution:
         device = Device(mode="performance", workers=2)
         assert not isinstance(device.executor(), PooledExecutor)
 
-    @pytest.mark.parametrize("use_plans", [True, False],
+    @pytest.mark.parametrize("engine", ["plans", "interp"],
                              ids=["plans", "interpreter"])
-    def test_gemm_bit_identical_to_serial(self, use_plans):
-        """Pool workers honour ``use_plans``: the interpreter oracle runs on
-        the pool too, bit-identical to its serial run."""
+    def test_gemm_bit_identical_to_serial(self, engine):
+        """Pool workers honour the device's ``engine``: the interpreter
+        oracle runs on the pool too, bit-identical to its serial run."""
         problem = _gemm()
         r_s, c_s = run_gemm(Device(mode="functional", workers=1,
-                                   use_plans=use_plans), problem, WS_OPTIONS)
+                                   engine=engine), problem, WS_OPTIONS)
         r_p, c_p = run_gemm(Device(mode="functional", workers=2,
-                                   use_plans=use_plans), problem, WS_OPTIONS)
+                                   engine=engine), problem, WS_OPTIONS)
         assert r_p.cycles == r_s.cycles
         assert r_p.per_cta_cycles == r_s.per_cta_cycles
         assert r_p.tensor_core_busy_cycles == r_s.tensor_core_busy_cycles
@@ -238,7 +238,7 @@ class TestPooledExecution:
         assert COUNTERS.pool_launches == 1
         assert COUNTERS.pool_fallback_launches == 0
         # every CTA ran in a worker, through the requested engine
-        ctas = COUNTERS.plan_ctas if use_plans else COUNTERS.interpreter_ctas
+        ctas = COUNTERS.plan_ctas if engine == "plans" else COUNTERS.interpreter_ctas
         assert ctas == 2 * len(r_s.per_cta_cycles)
 
     def test_warm_workers_are_reused_across_batches(self):

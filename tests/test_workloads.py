@@ -185,11 +185,11 @@ class TestNewKernels:
 
 def _observe(engine: str, runner, problem):
     if engine == "interpreter":
-        device = Device(mode="functional", use_plans=False, workers=1)
+        device = Device(mode="functional", engine="interp", workers=1)
     elif engine == "plans":
-        device = Device(mode="functional", use_plans=True, workers=1)
+        device = Device(mode="functional", engine="plans", workers=1)
     else:
-        device = Device(mode="functional", use_plans=True, workers=2)
+        device = Device(mode="functional", engine="plans", workers=2)
     result, out = runner(device, problem)
     if isinstance(result, list):  # multi-launch workloads
         cycles = tuple(r.cycles for r in result)
